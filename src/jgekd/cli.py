@@ -4,18 +4,16 @@ Subcommands: gen-data, corrupt, train, eval, robustness, correlation. Every
 run is deterministic given its flags and seed, and every artifact embeds the
 fully-resolved configuration. Exit codes: 0 success, 2 validation error,
 3 I/O or file-format error, 4 numerical failure.
-
-The JGE_THREADS environment variable caps the worker count for parallel
-sections (0 means sequential). The current implementation always runs
-sequentially, which by contract equals any parallel schedule.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+import typing
 
 from . import training
 from .corruptions import (
@@ -35,18 +33,6 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 _KIND_NAMES = ", ".join(k.value for k in ALL_EVAL_KINDS)
-
-
-def thread_cap() -> int:
-    """Worker cap from JGE_THREADS; 0 selects sequential execution."""
-    raw = os.environ.get("JGE_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError("JGE_THREADS must be an integer, got %r" % raw) from None
-    if cap < 0:
-        raise ValueError("JGE_THREADS must be >= 0, got %d" % cap)
-    return cap
 
 
 def _write(path, text: str) -> None:
@@ -94,21 +80,13 @@ def _cmd_corrupt(args) -> int:
     return EXIT_OK
 
 
-_CONFIG_FIELDS = {
-    "strategy": str,
-    "epochs": int,
-    "learning_rate": float,
-    "alpha": float,
-    "beta": float,
-    "epsilon": float,
-    "seed": int,
-    "detach_target": bool,
-    "augment": bool,
-    "teacher_checkpoint": str,
-    "train_data": str,
-    "test_data": str,
-    "n_classes": int,
-}
+def _field_type(hint):
+    """The value type of a TrainConfig annotation, with `X | None` unwrapped."""
+    return next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+
+
+_HINTS = typing.get_type_hints(TrainConfig)
+_CONFIG_FIELDS = {f.name: _field_type(_HINTS[f.name]) for f in dataclasses.fields(TrainConfig)}
 
 
 def _parse_config_value(key: str, raw: str):
@@ -151,22 +129,8 @@ def _resolve_train_config(args) -> TrainConfig:
     if args.config:
         for key, value in load_config_file(args.config).items():
             setattr(config, key, value)
-    overrides = {
-        "strategy": args.strategy,
-        "epochs": args.epochs,
-        "learning_rate": args.lr,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "epsilon": args.epsilon,
-        "seed": args.seed,
-        "detach_target": args.detach_target,
-        "augment": args.augment,
-        "teacher_checkpoint": args.teacher,
-        "train_data": args.train_data,
-        "test_data": args.test_data,
-        "n_classes": args.n_classes,
-    }
-    for key, value in overrides.items():
+    for key in _CONFIG_FIELDS:
+        value = getattr(args, key)
         if value is not None:
             setattr(config, key, value)
     config.validate()
@@ -285,14 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value file; flags override it")
     p.add_argument("--strategy", choices=("st", "skd", "tkd"))
     p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--lr", type=float, dest="learning_rate", metavar="LR")
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--detach-target", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--augment", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--teacher", help="teacher checkpoint (tkd only)")
+    p.add_argument("--teacher", dest="teacher_checkpoint", metavar="TEACHER", help="teacher checkpoint (tkd only)")
     p.add_argument("--train-data")
     p.add_argument("--test-data")
     p.add_argument("--n-classes", type=int)
@@ -327,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        thread_cap()
         return args.func(args)
     except UnsupportedCorruptionError as exc:
         print("error: %s" % exc, file=sys.stderr)

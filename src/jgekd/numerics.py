@@ -158,37 +158,23 @@ class Rng:
 # Graph engine
 # ---------------------------------------------------------------------------
 
-# Primitive op tags. Shapes are fixed at build time; eval_graph re-runs the
-# same forward rules, so recomputation cannot drift from construction.
-_OPS = (
-    "leaf",
-    "add",
-    "elementwise_mul",
-    "scale_by_constant",
-    "affine",
-    "relu",
-    "softmax",
-    "log_clamped",
-    "outer_product",
-    "reduce_max",
-    "reduce_sum",
-)
-
 
 class Node:
-    """One vertex of the compute DAG: an op, its inputs, value and adjoint."""
+    """One vertex of the compute DAG: its value, its inputs and `push`, the
+    op's gradient rule. push(g) adds the contribution of this node's adjoint
+    g into the adjoints of its inputs; leaves have no rule. Adjoints are
+    allocated by backward, not at construction."""
 
-    __slots__ = ("op", "inputs", "value", "adjoint", "payload")
+    __slots__ = ("value", "inputs", "push", "adjoint")
 
-    def __init__(self, op, inputs, value, payload=None):
-        self.op = op
-        self.inputs = inputs
+    def __init__(self, value, inputs=(), push=None):
         self.value = value
-        self.adjoint = np.zeros_like(value)
-        self.payload = payload
+        self.inputs = inputs
+        self.push = push
+        self.adjoint = None
 
     def __repr__(self):
-        return "Node(%s, shape=%s)" % (self.op, self.value.shape)
+        return "Node(shape=%s)" % (self.value.shape,)
 
 
 def _asarray(x) -> np.ndarray:
@@ -198,7 +184,7 @@ def _asarray(x) -> np.ndarray:
 
 def leaf(value) -> Node:
     """Wrap a tensor as a graph input. Gradients accumulate here."""
-    return Node("leaf", (), _asarray(value))
+    return Node(_asarray(value))
 
 
 def detach(node: Node) -> Node:
@@ -206,60 +192,38 @@ def detach(node: Node) -> Node:
     return leaf(node.value)
 
 
-def _forward(op, values, payload):
-    if op == "add":
-        return values[0] + values[1]
-    if op == "elementwise_mul":
-        return values[0] * values[1]
-    if op == "scale_by_constant":
-        return values[0] * payload
-    if op == "affine":
-        x, w, b = values
-        return x @ w + b
-    if op == "relu":
-        return np.maximum(values[0], 0.0)
-    if op == "softmax":
-        z = values[0]
-        shifted = z - np.max(z, axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / np.sum(e, axis=-1, keepdims=True)
-    if op == "log_clamped":
-        floor, ceiling = payload
-        x = values[0]
-        clamped = np.minimum(np.maximum(x, floor), ceiling) if ceiling is not None else np.maximum(x, floor)
-        return np.log(clamped)
-    if op == "outer_product":
-        return np.outer(values[0], values[1])
-    if op == "reduce_max":
-        return np.max(values[0], axis=0)
-    if op == "reduce_sum":
-        return np.sum(values[0])
-    raise ValueError("unknown op %r" % op)
-
-
-def _node(op, inputs, payload=None) -> Node:
-    value = _forward(op, [n.value for n in inputs], payload)
-    return Node(op, tuple(inputs), value, payload)
-
-
 def add(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise ShapeError("add: shapes %s and %s differ" % (a.value.shape, b.value.shape))
-    return _node("add", (a, b))
+
+    def push(g):
+        a.adjoint += g
+        b.adjoint += g
+
+    return Node(a.value + b.value, (a, b), push)
 
 
 def mul(a: Node, b: Node) -> Node:
     """Elementwise product."""
     if a.value.shape != b.value.shape:
         raise ShapeError("elementwise_mul: shapes %s and %s differ" % (a.value.shape, b.value.shape))
-    return _node("elementwise_mul", (a, b))
+
+    def push(g):
+        a.adjoint += g * b.value
+        b.adjoint += g * a.value
+
+    return Node(a.value * b.value, (a, b), push)
 
 
 def scale(a: Node, c: float) -> Node:
     c = float(c)
     if not math.isfinite(c):
         raise ValueError("scale_by_constant: constant must be finite, got %r" % c)
-    return _node("scale_by_constant", (a,), c)
+
+    def push(g):
+        a.adjoint += g * c
+
+    return Node(a.value * c, (a,), push)
 
 
 def affine(x: Node, w: Node, b: Node) -> Node:
@@ -269,18 +233,40 @@ def affine(x: Node, w: Node, b: Node) -> Node:
         raise ShapeError("affine: bad ranks x%s w%s b%s" % (xs, ws, bs))
     if xs[-1] != ws[0] or bs[0] != ws[1]:
         raise ShapeError("affine: x%s w%s b%s do not chain" % (xs, ws, bs))
-    return _node("affine", (x, w, b))
+
+    def push(g):
+        if len(xs) == 2:
+            x.adjoint += g @ w.value.T
+            w.adjoint += x.value.T @ g
+            b.adjoint += g.sum(axis=0)
+        else:
+            x.adjoint += w.value @ g
+            w.adjoint += np.outer(x.value, g)
+            b.adjoint += g
+
+    return Node(x.value @ w.value + b.value, (x, w, b), push)
 
 
 def relu(a: Node) -> Node:
-    return _node("relu", (a,))
+    def push(g):
+        a.adjoint += g * (a.value > 0.0)
+
+    return Node(np.maximum(a.value, 0.0), (a,), push)
 
 
 def softmax(a: Node) -> Node:
     """Softmax over the last axis, shift-stabilized."""
-    if a.value.ndim < 1 or a.value.shape[-1] < 1:
-        raise ShapeError("softmax: need a non-empty last axis, got %s" % (a.value.shape,))
-    return _node("softmax", (a,))
+    z = a.value
+    if z.ndim < 1 or z.shape[-1] < 1:
+        raise ShapeError("softmax: need a non-empty last axis, got %s" % (z.shape,))
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    s = e / np.sum(e, axis=-1, keepdims=True)
+
+    def push(g):
+        dot = np.sum(g * s, axis=-1, keepdims=True)
+        a.adjoint += s * (g - dot)
+
+    return Node(s, (a,), push)
 
 
 def log_clamped(a: Node, floor: float = LOG_FLOOR, ceiling: float | None = None) -> Node:
@@ -293,24 +279,55 @@ def log_clamped(a: Node, floor: float = LOG_FLOOR, ceiling: float | None = None)
         raise ValueError("log_clamped: floor must be positive")
     if ceiling is not None and ceiling < floor:
         raise ValueError("log_clamped: ceiling below floor")
-    return _node("log_clamped", (a,), (float(floor), None if ceiling is None else float(ceiling)))
+    floor = float(floor)
+    x = a.value
+    if ceiling is None:
+        clamped = np.maximum(x, floor)
+    else:
+        ceiling = float(ceiling)
+        clamped = np.minimum(np.maximum(x, floor), ceiling)
+
+    def push(g):
+        inside = x >= floor
+        if ceiling is not None:
+            inside &= x <= ceiling
+        a.adjoint += g * inside / clamped
+
+    return Node(np.log(clamped), (a,), push)
 
 
 def outer(a: Node, b: Node) -> Node:
     if a.value.ndim != 1 or b.value.ndim != 1:
         raise ShapeError("outer_product: need two vectors, got %s and %s" % (a.value.shape, b.value.shape))
-    return _node("outer_product", (a, b))
+
+    def push(g):
+        a.adjoint += g @ b.value
+        b.adjoint += a.value @ g
+
+    return Node(np.outer(a.value, b.value), (a, b), push)
 
 
 def reduce_max(a: Node) -> Node:
     """Column-wise max over the point axis of a (P, H) tensor."""
     if a.value.ndim != 2 or a.value.shape[0] < 1:
         raise ShapeError("reduce_max: need a non-empty (points, features) tensor, got %s" % (a.value.shape,))
-    return _node("reduce_max", (a,))
+
+    def push(g):
+        # np.argmax returns the first maximum, so ties route to the lowest
+        # point index by construction.
+        idx = np.argmax(a.value, axis=0)
+        scatter = np.zeros_like(a.value)
+        scatter[idx, np.arange(a.value.shape[1])] = g
+        a.adjoint += scatter
+
+    return Node(np.max(a.value, axis=0), (a,), push)
 
 
 def reduce_sum(a: Node) -> Node:
-    return _node("reduce_sum", (a,))
+    def push(g):
+        a.adjoint += g
+
+    return Node(np.sum(a.value), (a,), push)
 
 
 def _topo_order(root: Node) -> list[Node]:
@@ -331,74 +348,6 @@ def _topo_order(root: Node) -> list[Node]:
     return order  # children before parents
 
 
-def eval_graph(root: Node) -> np.ndarray:
-    """Recompute the whole DAG below root and return its forward value."""
-    for node in _topo_order(root):
-        if node.op != "leaf":
-            node.value = _forward(node.op, [n.value for n in node.inputs], node.payload)
-    return root.value
-
-
-def _accumulate(node):
-    g = node.adjoint
-    op = node.op
-    if op == "leaf":
-        return
-    if op == "add":
-        a, b = node.inputs
-        a.adjoint += g
-        b.adjoint += g
-    elif op == "elementwise_mul":
-        a, b = node.inputs
-        a.adjoint += g * b.value
-        b.adjoint += g * a.value
-    elif op == "scale_by_constant":
-        node.inputs[0].adjoint += g * node.payload
-    elif op == "affine":
-        x, w, b = node.inputs
-        if x.value.ndim == 2:
-            x.adjoint += g @ w.value.T
-            w.adjoint += x.value.T @ g
-            b.adjoint += g.sum(axis=0)
-        else:
-            x.adjoint += w.value @ g
-            w.adjoint += np.outer(x.value, g)
-            b.adjoint += g
-    elif op == "relu":
-        a = node.inputs[0]
-        a.adjoint += g * (a.value > 0.0)
-    elif op == "softmax":
-        s = node.value
-        dot = np.sum(g * s, axis=-1, keepdims=True)
-        node.inputs[0].adjoint += s * (g - dot)
-    elif op == "log_clamped":
-        floor, ceiling = node.payload
-        x = node.inputs[0].value
-        inside = x >= floor
-        if ceiling is not None:
-            inside &= x <= ceiling
-            clamped = np.minimum(np.maximum(x, floor), ceiling)
-        else:
-            clamped = np.maximum(x, floor)
-        node.inputs[0].adjoint += g * inside / clamped
-    elif op == "outer_product":
-        a, b = node.inputs
-        a.adjoint += g @ b.value
-        b.adjoint += a.value @ g
-    elif op == "reduce_max":
-        a = node.inputs[0]
-        # np.argmax returns the first maximum, so ties route to the lowest
-        # point index by construction.
-        idx = np.argmax(a.value, axis=0)
-        scatter = np.zeros_like(a.value)
-        scatter[idx, np.arange(a.value.shape[1])] = g
-        a.adjoint += scatter
-    elif op == "reduce_sum":
-        node.inputs[0].adjoint += g
-    else:
-        raise ValueError("unknown op %r" % op)
-
-
 def backward(root: Node) -> dict[Node, np.ndarray]:
     """Reverse-mode sweep from a scalar root.
 
@@ -413,7 +362,8 @@ def backward(root: Node) -> dict[Node, np.ndarray]:
         node.adjoint = np.zeros_like(node.value)
     root.adjoint = np.ones_like(root.value)
     for node in reversed(order):
-        _accumulate(node)
+        if node.push is not None:
+            node.push(node.adjoint)
     return {node: node.adjoint for node in order}
 
 
@@ -431,7 +381,8 @@ def grad_check(f, x, h: float = 1e-6) -> float:
     if root.value.ndim != 0:
         raise ShapeError("grad_check: f must be scalar-valued, got shape %s" % (root.value.shape,))
     backward(root)
-    analytic = probe.adjoint.copy()
+    # A probe that root never reaches gets no adjoint: its gradient is zero.
+    analytic = np.zeros_like(x0) if probe.adjoint is None else probe.adjoint.copy()
 
     numeric = np.zeros_like(x0)
     flat = numeric.reshape(-1)

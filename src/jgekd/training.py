@@ -14,7 +14,8 @@ independent of iteration order and reruns are bit-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -67,10 +68,10 @@ class TrainConfig:
             raise ValueError("strategy must be one of %s, got %r" % (", ".join(STRATEGIES), self.strategy))
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValueError("alpha and beta must be nonnegative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError("learning rate must be positive and finite, got %r" % self.learning_rate)
+        if not all(math.isfinite(w) and w >= 0.0 for w in (self.alpha, self.beta)):
+            raise ValueError("alpha and beta must be nonnegative and finite")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must be in [0, 1)")
         if self.strategy == "tkd" and not self.teacher_checkpoint:
@@ -79,21 +80,7 @@ class TrainConfig:
             raise ValueError("n_classes must be >= 2")
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "detach_target": self.detach_target,
-            "augment": self.augment,
-            "teacher_checkpoint": self.teacher_checkpoint,
-            "train_data": self.train_data,
-            "test_data": self.test_data,
-            "n_classes": self.n_classes,
-        }
+        return asdict(self)
 
 
 class AdamState:

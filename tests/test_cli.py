@@ -18,7 +18,6 @@ from jgekd.cli import (
     EXIT_VALIDATION,
     load_config_file,
     main,
-    thread_cap,
 )
 
 # 8 classes, 4 train + 2 test clouds each: the smallest tree that still
@@ -528,23 +527,4 @@ def test_correlation_too_few_samples(overfit_run, dataset, tmp_path):
             "--out", str(tmp_path / "x"),
         ]
     )
-    assert code == EXIT_VALIDATION
-
-
-# --- environment ---
-
-
-def test_thread_cap_parses(monkeypatch):
-    monkeypatch.delenv("JGE_THREADS", raising=False)
-    assert thread_cap() == 0
-    monkeypatch.setenv("JGE_THREADS", "4")
-    assert thread_cap() == 4
-
-
-def test_thread_cap_invalid(monkeypatch, dataset, tmp_path):
-    monkeypatch.setenv("JGE_THREADS", "many")
-    code = main(["eval", "--model", "x", "--data", dataset["test"]])
-    assert code == EXIT_VALIDATION
-    monkeypatch.setenv("JGE_THREADS", "-1")
-    code = main(["eval", "--model", "x", "--data", dataset["test"]])
     assert code == EXIT_VALIDATION

@@ -50,6 +50,13 @@ def test_config_validation():
         TrainConfig(beta=-0.5).validate()
     with pytest.raises(ValueError):
         TrainConfig(epsilon=1.0).validate()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            TrainConfig(learning_rate=bad).validate()
+        with pytest.raises(ValueError):
+            TrainConfig(alpha=bad).validate()
+        with pytest.raises(ValueError):
+            TrainConfig(beta=bad).validate()
     with pytest.raises(ValueError):
         TrainConfig(strategy="tkd").validate()  # teacher required
 
