@@ -24,7 +24,7 @@ from .corruptions import (
     parse_kind,
 )
 from .model import CheckpointFormatError, load_params, save_params
-from .pointcloud import CloudFormatError, generate_minishapes, load_dataset
+from .pointcloud import CloudFormatError, generate_minishapes, load_dataset, write_atomic
 from .training import NumericalError, TrainConfig
 
 EXIT_OK = 0
@@ -36,14 +36,7 @@ _KIND_NAMES = ", ".join(k.value for k in ALL_EVAL_KINDS)
 
 
 def _write(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _check_severity_flag(severity: int) -> int:
-    if not 1 <= severity <= 5:
-        raise ValueError("severity must be in 1..5, got %d" % severity)
-    return severity
+    write_atomic(path, text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +45,6 @@ def _check_severity_flag(severity: int) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    if args.points < 8:
-        raise ValueError("--points must be at least 8, got %d" % args.points)
-    if args.per_class_train < 1 or args.per_class_test < 1:
-        raise ValueError("per-class counts must be positive")
     train_manifest, test_manifest = generate_minishapes(
         args.out,
         per_class_train=args.per_class_train,
@@ -73,7 +62,7 @@ def _cmd_corrupt(args) -> int:
     else:
         if args.kind is None:
             raise ValueError("pass --kind or --all")
-        cells = [(parse_kind(args.kind), _check_severity_flag(args.severity))]
+        cells = [(parse_kind(args.kind), args.severity)]
     for kind, severity in cells:
         manifest = corrupt_eval_set(args.data, args.out, kind, severity, args.seed)
         print("wrote %s" % manifest)

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .numerics import Rng, split_seed
-from .pointcloud import LabeledCloud, DatasetManifest, load_dataset, save_cloud, save_manifest
+from .pointcloud import LabeledCloud, DatasetManifest, check_cloud, load_dataset, save_cloud, save_manifest
 
 MIN_SURVIVORS = 8
 
@@ -251,39 +251,34 @@ def _density_inc(pts, s, rng):
     return np.vstack([pts] + added)
 
 
-def _density_dec(pts, s, rng):
-    # Around each anchor, drop 75% of the still-surviving points in its
-    # 0.25 ball, stopping once only MIN_SURVIVORS points remain.
+def _thin(pts, s, rng, radius, victims):
+    # Around each of s anchors (existing points, drawn with replacement),
+    # drop victims(near, rng) of the still-surviving points within radius,
+    # in the order given, stopping once only MIN_SURVIVORS points remain.
+    # victims makes all of its draws even when the floor cuts its list.
     n = pts.shape[0]
     alive = np.ones(n, dtype=bool)
     count = n
     for _ in range(s):
         anchor = pts[rng.randint(n)]
-        near = np.nonzero(alive & (np.linalg.norm(pts - anchor, axis=1) <= 0.25))[0]
-        drop = math.floor(0.75 * near.size)
-        if drop == 0:
-            continue
-        for pos in rng.sample_indices(near.size, drop):
-            if count <= MIN_SURVIVORS:
-                break
-            alive[near[pos]] = False
-            count -= 1
+        near = np.nonzero(alive & (np.linalg.norm(pts - anchor, axis=1) <= radius))[0]
+        drop = victims(near, rng)[: max(0, count - MIN_SURVIVORS)]
+        alive[drop] = False
+        count -= drop.size
     return pts[alive]
+
+
+def _density_dec(pts, s, rng):
+    # A random 75% of each 0.25 ball.
+    def victims(near, rng):
+        return near[rng.sample_indices(near.size, math.floor(0.75 * near.size))]
+
+    return _thin(pts, s, rng, 0.25, victims)
 
 
 def _cutout(pts, s, rng):
-    n = pts.shape[0]
-    alive = np.ones(n, dtype=bool)
-    count = n
-    for _ in range(s):
-        anchor = pts[rng.randint(n)]
-        near = np.nonzero(alive & (np.linalg.norm(pts - anchor, axis=1) <= 0.15))[0]
-        for idx in near:  # ascending index order, capped at the floor
-            if count <= MIN_SURVIVORS:
-                break
-            alive[idx] = False
-            count -= 1
-    return pts[alive]
+    # The whole 0.15 ball, in ascending index order.
+    return _thin(pts, s, rng, 0.15, lambda near, rng: near)
 
 
 def _identity(pts, s, rng):
@@ -321,10 +316,7 @@ def apply_corruption(points, kind, severity, rng: Rng) -> np.ndarray:
         s = 0
     else:
         s = _check_severity(severity)
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-        raise ValueError("expected a non-empty (n, 3) cloud, got shape %s" % (pts.shape,))
-    return _APPLY[kind](pts, s, rng)
+    return _APPLY[kind](check_cloud(points), s, rng)
 
 
 def compose_random(

@@ -34,32 +34,28 @@ def _as_node(x) -> Node:
     return ng.leaf(x)
 
 
-def _as_vector_node(x, op_name) -> Node:
-    node = _as_node(x)
-    if node.value.ndim != 1 or node.value.shape[0] < 1:
-        raise ShapeError("%s: expected a probability vector, got shape %s" % (op_name, node.value.shape))
-    return node
-
-
-def _pair(a, b, op_name) -> tuple[Node, Node]:
-    na = _as_vector_node(a, op_name)
-    nb = _as_vector_node(b, op_name)
-    if na.value.shape != nb.value.shape:
-        raise ShapeError(
-            "%s: vectors disagree, %s vs %s" % (op_name, na.value.shape, nb.value.shape)
-        )
-    return na, nb
+def _vectors(op_name, *xs) -> tuple[Node, ...]:
+    """Each input as a Node; all must be probability vectors of one length."""
+    nodes = tuple(_as_node(x) for x in xs)
+    first = nodes[0].value.shape
+    for node in nodes:
+        shape = node.value.shape
+        if len(shape) != 1 or shape[0] < 1:
+            raise ShapeError("%s: expected a probability vector, got shape %s" % (op_name, shape))
+        if shape != first:
+            raise ShapeError("%s: vectors disagree, %s vs %s" % (op_name, first, shape))
+    return nodes
 
 
 def joint_graph(p) -> Node:
     """A = outer(p, p); symmetric, rank one, entries sum to 1 for valid p."""
-    node = _as_vector_node(p, "joint_graph")
+    (node,) = _vectors("joint_graph", p)
     return ng.outer(node, node)
 
 
 def cross_joint_graph(p, p_other) -> Node:
     """A[i, j] = p[i] * p_other[j]; couples the two siamese branches."""
-    na, nb = _pair(p, p_other, "cross_joint_graph")
+    na, nb = _vectors("cross_joint_graph", p, p_other)
     return ng.outer(na, nb)
 
 
@@ -81,7 +77,7 @@ def smooth_labels(q, epsilon: float) -> np.ndarray:
 
 def teacher_joint_graph(q_smooth, p_teacher) -> Node:
     """A[i, j] = q_smooth[i] * p_teacher[j], the teacher-side target graph."""
-    na, nb = _pair(q_smooth, p_teacher, "teacher_joint_graph")
+    na, nb = _vectors("teacher_joint_graph", q_smooth, p_teacher)
     return ng.outer(na, nb)
 
 
@@ -118,7 +114,7 @@ def jgeskd_loss(p, p_prime, detach_target: bool = False) -> Node:
     By default the gradient flows through both branches (true siamese);
     detach_target freezes the log-side branch at its current value.
     """
-    np_, npp = _pair(p, p_prime, "jgeskd_loss")
+    np_, npp = _vectors("jgeskd_loss", p, p_prime)
     target = ng.detach(npp) if detach_target else npp
     return jgekd_loss(joint_graph(np_), joint_graph(target))
 
@@ -129,38 +125,22 @@ def jgetkd_loss(p_student, p_student_prime, q, p_teacher, epsilon: float = 0.1) 
     The target graph spans the smoothed label and the teacher prediction;
     both enter as constants, so gradients reach only the student branches.
     """
-    ps, psp = _pair(p_student, p_student_prime, "jgetkd_loss")
-    pt = p_teacher.value if isinstance(p_teacher, Node) else np.asarray(p_teacher, dtype=np.float64)
     q_smooth = smooth_labels(q, epsilon)
-    if pt.shape != ps.value.shape:
-        raise ShapeError(
-            "jgetkd_loss: teacher prediction shape %s does not match student %s"
-            % (pt.shape, ps.value.shape)
-        )
-    if q_smooth.shape != ps.value.shape:
-        raise ShapeError(
-            "jgetkd_loss: label length %s does not match student %s"
-            % (q_smooth.shape, ps.value.shape)
-        )
-    target = teacher_joint_graph(ng.leaf(q_smooth), ng.leaf(pt))
+    pt = p_teacher.value if isinstance(p_teacher, Node) else p_teacher
+    ps, psp, q_node, pt_node = _vectors("jgetkd_loss", p_student, p_student_prime, q_smooth, pt)
+    target = teacher_joint_graph(q_node, pt_node)
     return jgekd_loss(cross_joint_graph(ps, psp), target)
 
 
 def cross_entropy_smoothed(p, q, epsilon: float = 0.0) -> Node:
     """-sum(q_smooth * log(p)) with the usual positive clamp inside the log."""
-    node = _as_vector_node(p, "cross_entropy_smoothed")
-    q_smooth = smooth_labels(q, epsilon)
-    if q_smooth.shape != node.value.shape:
-        raise ShapeError(
-            "cross_entropy_smoothed: label length %s vs prediction %s"
-            % (q_smooth.shape, node.value.shape)
-        )
-    return ng.scale(ng.reduce_sum(ng.mul(ng.leaf(q_smooth), ng.log_clamped(node))), -1.0)
+    node, q_node = _vectors("cross_entropy_smoothed", p, smooth_labels(q, epsilon))
+    return ng.scale(ng.reduce_sum(ng.mul(q_node, ng.log_clamped(node))), -1.0)
 
 
 def vanilla_kd_loss(p_student, p_teacher) -> Node:
     """Plain distillation baseline: -sum(p_teacher * log(p_student))."""
-    ps, pt = _pair(p_student, p_teacher, "vanilla_kd_loss")
+    ps, pt = _vectors("vanilla_kd_loss", p_student, p_teacher)
     return ng.scale(ng.reduce_sum(ng.mul(ng.detach(pt), ng.log_clamped(ps))), -1.0)
 
 

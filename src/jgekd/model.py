@@ -15,6 +15,7 @@ import numpy as np
 
 from . import numerics as ng
 from .numerics import Node, Rng
+from .pointcloud import check_cloud, write_atomic
 
 HIDDEN1, HIDDEN2, HIDDEN3 = 32, 64, 32
 PARAM_KEYS = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
@@ -84,13 +85,6 @@ def init_params(seed: int, n_classes: int) -> ModelParams:
     return ModelParams(**blocks)
 
 
-def _check_cloud(cloud) -> np.ndarray:
-    pts = np.asarray(cloud, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-        raise ValueError("expected a non-empty (n, 3) cloud, got shape %s" % (pts.shape,))
-    return pts
-
-
 def param_leaves(params: ModelParams) -> dict[str, Node]:
     """Fresh graph leaves over the current parameter arrays."""
     return {key: ng.leaf(arr) for key, arr in params.blocks().items()}
@@ -108,7 +102,7 @@ def forward_nodes(leaves: dict[str, Node], points: Node) -> tuple[Node, Node, No
 
 def forward(params: ModelParams, cloud) -> ForwardOutput:
     """Plain forward pass; a pure function of (params, cloud)."""
-    pts = _check_cloud(cloud)
+    pts = check_cloud(cloud)
     logits, probs, embedding = forward_nodes(param_leaves(params), ng.leaf(pts))
     return ForwardOutput(logits.value, probs.value, embedding.value)
 
@@ -117,11 +111,8 @@ def save_params(path, params: ModelParams) -> None:
     for key in PARAM_KEYS:
         if not np.all(np.isfinite(getattr(params, key))):
             raise ValueError("refusing to write non-finite block %s" % key)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", params.n_classes))
-        for key in PARAM_KEYS:
-            fh.write(np.ascontiguousarray(getattr(params, key), dtype="<f8").tobytes())
+    blocks = [np.ascontiguousarray(getattr(params, key), dtype="<f8").tobytes() for key in PARAM_KEYS]
+    write_atomic(path, b"".join([_MAGIC, struct.pack("<I", params.n_classes)] + blocks))
 
 
 def load_params(path) -> ModelParams:

@@ -58,7 +58,9 @@ class DatasetManifest:
     split: str
 
 
-def _check_points(points) -> np.ndarray:
+def check_cloud(points) -> np.ndarray:
+    """The cloud as a float64 array; raises ValueError unless it is a
+    non-empty (n, 3) array of finite coordinates."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("expected an (n, 3) cloud, got shape %s" % (pts.shape,))
@@ -75,7 +77,7 @@ def normalize_unit_sphere(points) -> np.ndarray:
     A degenerate cloud (all points identical) is only centered; the scale
     step is skipped when the max norm falls below 1e-12.
     """
-    pts = _check_points(points)
+    pts = check_cloud(points)
     centered = pts - pts.mean(axis=0)
     max_norm = float(np.max(np.linalg.norm(centered, axis=1)))
     if max_norm >= 1e-12:
@@ -233,12 +235,23 @@ def generate_split(per_class, n_points: int, seed: int, split_index: int) -> lis
 # ---------------------------------------------------------------------------
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write data to path through a temp file next to it and os.replace, so
+    path holds either its old bytes or all of data, never a partial file."""
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_cloud(path, points) -> None:
-    pts = _check_points(points)
-    payload = pts.astype("<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, pts.shape[0], 3))
-        fh.write(payload)
+    pts = check_cloud(points)
+    write_atomic(path, _HEADER.pack(_MAGIC, pts.shape[0], 3) + pts.astype("<f4").tobytes())
 
 
 def load_cloud(path) -> np.ndarray:
@@ -270,13 +283,10 @@ def load_cloud(path) -> np.ndarray:
 def save_manifest(directory, manifest: DatasetManifest) -> str:
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, manifest.split + ".txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        for relpath, label in manifest.entries:
-            fh.write("%s\t%d\n" % (relpath, label))
-    classes = os.path.join(directory, "classes.txt")
-    with open(classes, "w", encoding="utf-8") as fh:
-        for name in manifest.class_names:
-            fh.write(name + "\n")
+    lines = ["%s\t%d\n" % (relpath, label) for relpath, label in manifest.entries]
+    write_atomic(path, "".join(lines).encode("utf-8"))
+    classes = "".join(name + "\n" for name in manifest.class_names)
+    write_atomic(os.path.join(directory, "classes.txt"), classes.encode("utf-8"))
     return path
 
 
@@ -324,12 +334,14 @@ def generate_minishapes(
     n_points: int = 64,
     seed: int = 0,
 ) -> tuple[str, str]:
-    """Write the full MiniShapes tree; returns (train manifest, test manifest)."""
+    """Write the full MiniShapes tree; returns (train manifest, test manifest).
+
+    Both splits are generated, and so validated, before any file is written.
+    """
+    counts = (_per_class_counts(per_class_train), _per_class_counts(per_class_test))
+    splits = [generate_split(c, n_points, seed, i) for i, c in enumerate(counts)]
     paths = []
-    for split_index, (split, per_class) in enumerate(
-        (("train", per_class_train), ("test", per_class_test))
-    ):
-        samples = generate_split(per_class, n_points, seed, split_index)
+    for split, samples in zip(("train", "test"), splits):
         os.makedirs(os.path.join(out_dir, split), exist_ok=True)
         entries = []
         counters = [0] * NUM_CLASSES

@@ -189,8 +189,10 @@ def train(config: TrainConfig, train_samples, test_samples) -> tuple[ModelParams
     n_classes = config.n_classes or max(labels) + 1
     if n_classes < 2:
         raise ValueError("need at least 2 classes in the data")
-    if max(labels) >= n_classes:
-        raise ValueError("label %d outside the %d configured classes" % (max(labels), n_classes))
+    if min(labels) < 0 or max(labels) >= n_classes:
+        raise ValueError(
+            "labels %d..%d fall outside the %d configured classes" % (min(labels), max(labels), n_classes)
+        )
 
     samples = [
         LabeledCloud(normalize_unit_sphere(s.points), s.label) for s in train_samples

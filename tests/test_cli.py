@@ -105,11 +105,14 @@ def test_gen_data_deterministic(tmp_path):
 def test_gen_data_rejects_tiny_clouds(tmp_path):
     code = main(["gen-data", "--out", str(tmp_path / "x"), "--points", "4"])
     assert code == EXIT_VALIDATION
+    assert not (tmp_path / "x").exists()
 
 
 def test_gen_data_rejects_zero_counts(tmp_path):
-    code = main(["gen-data", "--out", str(tmp_path / "x"), "--per-class-train", "0"])
-    assert code == EXIT_VALIDATION
+    for flag in ("--per-class-train", "--per-class-test"):
+        code = main(["gen-data", "--out", str(tmp_path / "x"), flag, "0"])
+        assert code == EXIT_VALIDATION
+        assert not (tmp_path / "x").exists()
 
 
 # --- corrupt ---
@@ -144,6 +147,7 @@ def test_corrupt_severity_out_of_range(dataset, tmp_path):
         ]
     )
     assert code == EXIT_VALIDATION
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("name", ["occlusion", "lidar"])

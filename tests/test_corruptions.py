@@ -71,6 +71,12 @@ def test_severity_validation():
         apply_corruption(pts, K.GAUSSIAN, 1.5, Rng(0))
 
 
+def test_apply_corruption_rejects_bad_clouds():
+    for bad in (np.zeros((0, 3)), np.zeros((4, 2)), np.array([[0.0, np.nan, 0.0]])):
+        with pytest.raises(ValueError):
+            apply_corruption(bad, K.GAUSSIAN, 1, Rng(0))
+
+
 def test_corruption_spec_validation():
     ok = CorruptionSpec((K.ROTATION, 2), (K.GAUSSIAN, 1), (K.IDENTITY, 0))
     assert ok.noise == (K.GAUSSIAN, 1)

@@ -122,6 +122,8 @@ def test_forward_rejects_empty_cloud():
         forward(params, np.zeros((0, 3)))
     with pytest.raises(ValueError):
         forward(params, np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        forward(params, np.array([[0.0, np.nan, 0.0]]))
 
 
 def test_embedding_is_columnwise_max():

@@ -1,14 +1,17 @@
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from jgekd.model import init_params, save_params
 from jgekd.numerics import Rng
 from jgekd import pointcloud as pc
 from jgekd.pointcloud import (
     BadDimsError,
     BadMagicError,
     CloudFormatError,
+    DatasetManifest,
     LabeledCloud,
     TruncatedCloudError,
     generate_minishapes,
@@ -187,6 +190,29 @@ def test_save_cloud_rejects_nonfinite(tmp_path):
         save_cloud(tmp_path / "c.pcb", np.array([[np.inf, 0.0, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path, seed: save_cloud(path, generate_shape(0, 8, seed).points),
+        lambda path, seed: save_params(path, init_params(seed, 8)),
+        lambda path, seed: save_manifest(path.parent, DatasetManifest(["a", "b"], [("x.pcb", seed % 2)], "c")),
+    ],
+    ids=["save_cloud", "save_params", "save_manifest"],
+)
+def test_failed_write_keeps_old_bytes(tmp_path, monkeypatch, write):
+    path = tmp_path / "c.txt"
+    write(path, 0)
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        write(path, 1)
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
 def test_error_types_are_cloud_format_errors():
     assert issubclass(BadMagicError, CloudFormatError)
     assert issubclass(TruncatedCloudError, CloudFormatError)
@@ -287,6 +313,14 @@ def test_generate_minishapes_layout_and_determinism(tmp_path):
     _, train_samples = load_dataset(train_a)
     _, test_samples = load_dataset(test_a)
     assert len(train_samples) == 24 and len(test_samples) == 16
+
+
+@pytest.mark.parametrize("kwargs", [{"per_class_test": 0}, {"n_points": 7}], ids=["per_class_test=0", "n_points=7"])
+def test_generate_minishapes_rejects_bad_limits_before_writing(tmp_path, kwargs):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError):
+        generate_minishapes(out, **{"per_class_train": 2, "per_class_test": 1, **kwargs})
+    assert not out.exists()
 
 
 def test_minishapes_train_test_disjoint(tmp_path):

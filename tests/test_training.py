@@ -207,10 +207,11 @@ def test_single_sample_overfit_loss_non_increasing():
 
 def test_train_rejects_bad_labels():
     train_samples, test_samples = _splits()
-    bad = [LabeledCloud(train_samples[0].points, 99)] + train_samples[1:]
     cfg = TrainConfig(strategy="st", epochs=1, n_classes=8)
-    with pytest.raises(ValueError):
-        train(cfg, bad, test_samples)
+    for label in (99, -1):
+        bad = [LabeledCloud(train_samples[0].points, label)] + train_samples[1:]
+        with pytest.raises(ValueError):
+            train(cfg, bad, test_samples)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
