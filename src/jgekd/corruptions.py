@@ -209,15 +209,14 @@ def _impulse(pts, s, rng):
     k = min(n, math.ceil(0.02 * s * n))
     hit = rng.sample_indices(n, k)
     out = pts.copy()
-    for idx in hit:
-        out[idx] += 0.1 * rng.unit_vector()
+    out[hit] += 0.1 * rng.unit_vectors(k)  # hit is distinct, so no index adds twice
     return out
 
 
 def _upsampling(pts, s, rng):
     n = pts.shape[0]
     k = math.ceil(s * n / 10.0)
-    src = [rng.randint(n) for _ in range(k)]
+    src = rng.randints([n] * k)
     jitter = rng.normals(3 * k).reshape(k, 3) * 0.01
     return np.vstack([pts, pts[src] + jitter])
 

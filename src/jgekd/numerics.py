@@ -56,6 +56,53 @@ def split_seed(global_seed: int, epoch: int, sample_index: int) -> int:
     return splitmix64(z)
 
 
+def _lcg_jump_tables(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """A[k] = mult**k and G[k] = 1 + mult + ... + mult**(k-1) (mod 2**64) for
+    k < size, so that k LCG steps take state s to A[k]*s + G[k]*increment.
+
+    Built by doubling: k + m steps are k steps, then m more, so
+    A[k + m] = A[m]*A[k] and G[k + m] = A[m]*G[k] + G[m]. The scalar A[m],
+    G[m] use Python ints; the uint64 array products wrap silently.
+    """
+    a = np.ones(1, dtype=np.uint64)
+    g = np.zeros(1, dtype=np.uint64)
+    a_m, g_m = _PCG_MULT, 1
+    while a.size < size:
+        a = np.concatenate([a, a * np.uint64(a_m)])
+        g = np.concatenate([g, g * np.uint64(a_m) + np.uint64(g_m)])
+        a_m, g_m = (a_m * a_m) & _MASK64, (a_m * g_m + g_m) & _MASK64
+    return a[:size], g[:size]
+
+
+# Words produced per table lookup; longer requests run block by block.
+_BLOCK = 4096
+_JUMP_A, _JUMP_G = _lcg_jump_tables(_BLOCK)
+
+# Requests for fewer values than this keep the scalar loop: below it numpy's
+# per-call overhead costs more than the Python draws it replaces.
+_BULK_MIN = 16
+
+
+def _pcg_output(old: np.ndarray) -> np.ndarray:
+    """XSH-RR output of each uint64 state, as next_u32 computes it."""
+    xorshifted = (((old >> 18) ^ old) >> 27) & _MASK32
+    rot = old >> 59
+    return ((xorshifted >> rot) | (xorshifted << ((32 - rot) & 31))) & _MASK32
+
+
+def _math_map(fn, x: np.ndarray) -> np.ndarray:
+    """fn (math.log, cos or sin) per element. np.log, np.cos and np.sin may
+    round differently from math.* in the last bit, which would change every
+    seeded result."""
+    return np.fromiter(map(fn, x.tolist()), np.float64, x.size)
+
+
+def _unit53(words: np.ndarray) -> np.ndarray:
+    """Top 53 bits of each (high, low) word pair as an integer, as next_u64
+    then >> 11 give it. Integers below 2**53 convert to float64 exactly."""
+    return ((words[0::2] << 32) | words[1::2]) >> 11
+
+
 class Rng:
     """PCG-XSH-RR 64/32 generator.
 
@@ -63,6 +110,14 @@ class Rng:
     modular integer math, and float conversion uses the top 53 bits of a
     64-bit word. The three leading outputs for seed=42, seq=54 match the
     generator's published reference sequence (checked in the tests).
+
+    The multi-value methods (uniforms, normals, randints, unit_vectors,
+    permutation, sample_indices) return exactly what the matching loop of
+    scalar calls returns and leave the same state behind. From _BULK_MIN
+    values up they draw the words as one block (_u32_block, LCG jump-ahead
+    in numpy uint64) and finish with numpy's +, -, *, / and sqrt, which
+    round like Python floats. log, cos and sin stay math.* per value
+    (_math_map): numpy's versions may round differently in the last bit.
     """
 
     __slots__ = ("state", "increment")
@@ -81,6 +136,20 @@ class Rng:
         rot = old >> 59
         return ((xorshifted >> rot) | (xorshifted << ((-rot) & 31))) & _MASK32
 
+    def _u32_block(self, k: int) -> np.ndarray:
+        """The next k next_u32 outputs as uint64, leaving state where k calls
+        to next_u32 would."""
+        out = np.empty(k, dtype=np.uint64)
+        inc = np.uint64(self.increment)
+        state = self.state
+        for start in range(0, k, _BLOCK):
+            m = min(_BLOCK, k - start)
+            old = _JUMP_A[:m] * np.uint64(state) + _JUMP_G[:m] * inc
+            out[start : start + m] = _pcg_output(old)
+            state = (int(old[-1]) * _PCG_MULT + self.increment) & _MASK64
+        self.state = state
+        return out
+
     def next_u64(self) -> int:
         hi = self.next_u32()
         return (hi << 32) | self.next_u32()
@@ -91,7 +160,10 @@ class Rng:
         return lo + (hi - lo) * u
 
     def uniforms(self, n, lo=0.0, hi=1.0) -> np.ndarray:
-        return np.array([self.uniform(lo, hi) for _ in range(n)], dtype=np.float64)
+        if n < _BULK_MIN:
+            return np.array([self.uniform(lo, hi) for _ in range(n)], dtype=np.float64)
+        u = _unit53(self._u32_block(2 * n)) / _TWO53
+        return lo + (hi - lo) * u
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         # Box-Muller, cosine branch only; no state carried between calls.
@@ -103,33 +175,72 @@ class Rng:
     def normals(self, n, mu=0.0, sigma=1.0) -> np.ndarray:
         # Pairs share one Box-Muller draw; an odd tail discards the sine leg.
         out = np.empty(n, dtype=np.float64)
-        i = 0
-        while i < n:
-            u1 = ((self.next_u64() >> 11) + 1) / _TWO53
-            u2 = (self.next_u64() >> 11) / _TWO53
-            r = math.sqrt(-2.0 * math.log(u1))
-            theta = 2.0 * math.pi * u2
-            out[i] = mu + sigma * r * math.cos(theta)
-            if i + 1 < n:
-                out[i + 1] = mu + sigma * r * math.sin(theta)
-            i += 2
+        if n < _BULK_MIN:
+            i = 0
+            while i < n:
+                u1 = ((self.next_u64() >> 11) + 1) / _TWO53
+                u2 = (self.next_u64() >> 11) / _TWO53
+                r = math.sqrt(-2.0 * math.log(u1))
+                theta = 2.0 * math.pi * u2
+                out[i] = mu + sigma * r * math.cos(theta)
+                if i + 1 < n:
+                    out[i + 1] = mu + sigma * r * math.sin(theta)
+                i += 2
+            return out
+        bits = _unit53(self._u32_block(4 * ((n + 1) // 2)))
+        u1 = (bits[0::2] + 1) / _TWO53
+        u2 = bits[1::2] / _TWO53
+        r = np.sqrt(-2.0 * _math_map(math.log, u1))
+        theta = 2.0 * math.pi * u2
+        out[0::2] = mu + sigma * r * _math_map(math.cos, theta)
+        out[1::2] = (mu + sigma * r * _math_map(math.sin, theta))[: n // 2]
         return out
 
     def randint(self, n: int) -> int:
         """Unbiased integer in [0, n) by threshold rejection."""
-        if n <= 0:
-            raise ValueError("randint needs n >= 1")
+        if not 1 <= n <= 1 << 32:
+            raise ValueError("randint needs 1 <= n <= 2**32, got %d" % n)
         threshold = ((1 << 32) - n) % n
         while True:
             r = self.next_u32()
             if r >= threshold:
                 return r % n
 
+    def randints(self, moduli) -> list[int]:
+        """[randint(m) for m in moduli], with the same draws and end state."""
+        moduli = list(moduli)
+        if len(moduli) < _BULK_MIN:
+            return [self.randint(m) for m in moduli]
+        if not 1 <= min(moduli) <= max(moduli) <= 1 << 32:
+            raise ValueError("randints needs every modulus in 1..2**32")
+        m = np.array(moduli, dtype=np.uint64)
+        start = self.state
+        words = self._u32_block(m.size)
+        rejected = np.flatnonzero(words < (np.uint64(1 << 32) - m) % m)
+        if rejected.size == 0:
+            return (words % m).tolist()
+        # Keep the accepted prefix, rewind to just after the first rejected
+        # word and let scalar randint redraw for that modulus onward.
+        i = int(rejected[0])
+        self.state = start
+        self._u32_block(i + 1)
+        return (words[:i] % m[:i]).tolist() + [self.randint(x) for x in moduli[i:]]
+
     def unit_vector(self) -> np.ndarray:
         z = self.uniform(-1.0, 1.0)
         phi = self.uniform(0.0, 2.0 * math.pi)
         r = math.sqrt(max(0.0, 1.0 - z * z))
         return np.array([r * math.cos(phi), r * math.sin(phi), z])
+
+    def unit_vectors(self, k: int) -> np.ndarray:
+        """np.stack of k unit_vector() calls, shape (k, 3)."""
+        if k < _BULK_MIN:
+            return np.array([self.unit_vector() for _ in range(k)]).reshape(k, 3)
+        u = _unit53(self._u32_block(4 * k)) / _TWO53
+        z = -1.0 + 2.0 * u[0::2]  # uniform(-1.0, 1.0)
+        phi = 2.0 * math.pi * u[1::2]  # uniform(0.0, 2.0 * math.pi)
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        return np.stack([r * _math_map(math.cos, phi), r * _math_map(math.sin, phi), z], axis=1)
 
     def ball_point(self) -> np.ndarray:
         """Uniform sample from the unit ball."""
@@ -138,18 +249,17 @@ class Rng:
 
     def permutation(self, n: int) -> list[int]:
         idx = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self.randint(i + 1)
+        for i, j in zip(range(n - 1, 0, -1), self.randints(range(n, 1, -1))):
             idx[i], idx[j] = idx[j], idx[i]
         return idx
 
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from [0, n), order as drawn."""
-        if k > n:
+        if not 0 <= k <= n:
             raise ValueError("cannot draw %d distinct indices from %d" % (k, n))
         idx = list(range(n))
-        for i in range(k):
-            j = i + self.randint(n - i)
+        for i, j in enumerate(self.randints(range(n, n - k, -1))):
+            j += i
             idx[i], idx[j] = idx[j], idx[i]
         return idx[:k]
 

@@ -94,6 +94,72 @@ def pcg32_stream(seed, seq, count):
     return out
 
 
+# Scalar draw loops over a generator's next_u32, one word at a time: the
+# reference for the library's block-drawing methods of the same names.
+
+
+def _bits53(rng):
+    hi = rng.next_u32()
+    return ((hi << 32) | rng.next_u32()) >> 11
+
+
+def _uniform(rng, lo, hi):
+    return lo + (hi - lo) * (_bits53(rng) / 2.0**53)
+
+
+def uniforms(rng, n, lo=0.0, hi=1.0):
+    return [_uniform(rng, lo, hi) for _ in range(n)]
+
+
+def normals(rng, n, mu=0.0, sigma=1.0):
+    out = []
+    while len(out) < n:
+        u1 = (_bits53(rng) + 1) / 2.0**53
+        u2 = _bits53(rng) / 2.0**53
+        r = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        out.append(mu + sigma * r * math.cos(theta))
+        out.append(mu + sigma * r * math.sin(theta))
+    return out[:n]
+
+
+def randints(rng, moduli):
+    out = []
+    for m in moduli:
+        threshold = ((1 << 32) - m) % m
+        r = rng.next_u32()
+        while r < threshold:
+            r = rng.next_u32()
+        out.append(r % m)
+    return out
+
+
+def unit_vectors(rng, k):
+    out = []
+    for _ in range(k):
+        z = _uniform(rng, -1.0, 1.0)
+        phi = _uniform(rng, 0.0, 2.0 * math.pi)
+        r = math.sqrt(max(0.0, 1.0 - z * z))
+        out.append([r * math.cos(phi), r * math.sin(phi), z])
+    return out
+
+
+def permutation(rng, n):
+    idx = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = randints(rng, [i + 1])[0]
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+def sample_indices(rng, n, k):
+    idx = list(range(n))
+    for i in range(k):
+        j = i + randints(rng, [n - i])[0]
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:k]
+
+
 def random_prob_vector(rng, n):
     """Dirichlet(1,...,1) draw as plain floats, via numpy Generator rng."""
     x = [-math.log(1.0 - rng.random()) for _ in range(n)]

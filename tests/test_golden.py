@@ -38,6 +38,7 @@ GOLDEN = {
     "model_tkd": "564def50025940cf3d2d596d77b7fb6669b2a542d2ad531d9ecc47752072b924",
     "robustness": "e8aadee109862e8fbc16e3e5837f40b87bc8b034c3257e4470746ba9309e5141",
     "corruptions": "34923571997ae3ab7637837975412782cad3665996bbb2aba2ee0a1e440674b9",
+    "corruptions_1024": "b331454abea3410f1f0416430eb435b64ca2f50fa8ae5a48e073c45341baaf6b",
 }
 
 # (class, points, seed, scale) of the clouds the corruption hash runs on. The
@@ -52,6 +53,12 @@ CORRUPTION_CLOUDS = (
     (7, 200, 4, 1.0),
 )
 COMPOSE_DRAWS = 16
+
+# The kinds that draw thousands of values per cloud. At 1024 points gaussian
+# and uniform draw 3072 values (6144 words) each, more than one 4096-word
+# block of the bulk generator, which the clouds above never reach.
+LARGE_CLOUD = (2, 1024, 8)
+LARGE_CLOUD_KINDS = ("gaussian", "uniform", "upsampling", "impulse", "density_inc", "density_dec")
 
 
 def _sha256(data: bytes) -> str:
@@ -137,3 +144,15 @@ def test_corruption_outputs_hash():
             digest.update(repr([(k.value, s) for k, s in (spec.transform, spec.noise, spec.density)]).encode())
             _update_cloud(digest, out)
     assert digest.hexdigest() == GOLDEN["corruptions"]
+
+
+def test_large_cloud_corruption_outputs_hash():
+    class_id, n_points, seed = LARGE_CLOUD
+    points = generate_shape(class_id, n_points, seed).points
+    digest = hashlib.sha256()
+    for name in LARGE_CLOUD_KINDS:
+        for severity in range(1, 6):
+            rng = Rng(split_seed(seed, len(ALL_EVAL_KINDS) + 1, severity))
+            digest.update(("%s %d" % (name, severity)).encode())
+            _update_cloud(digest, apply_corruption(points, name, severity, rng))
+    assert digest.hexdigest() == GOLDEN["corruptions_1024"]

@@ -24,7 +24,10 @@ def test_reference_stream_seed42_seq54():
     ]
 
 
-@pytest.mark.parametrize("seed,seq", [(0, 0), (1, 1), (2**63, 54), (12345, 678)])
+STREAMS = [(0, 0), (1, 1), (2**63, 54), (12345, 678)]
+
+
+@pytest.mark.parametrize("seed,seq", STREAMS)
 def test_stream_matches_pure_python_reference(seed, seq):
     rng = Rng(seed, seq)
     got = [rng.next_u32() for _ in range(200)]
@@ -129,6 +132,13 @@ def test_randint_rejects_bad_bounds():
         rng.randint(0)
     with pytest.raises(ValueError):
         rng.randint(-3)
+    with pytest.raises(ValueError):
+        rng.randint(2**32 + 1)  # no 32-bit word reaches its threshold
+    assert rng.randint(2**32) == oracles.pcg32_stream(1, 54, 1)[0]
+    with pytest.raises(ValueError):
+        rng.randints([5] * 20 + [2**32 + 1])
+    with pytest.raises(ValueError):
+        rng.randints([5] * 20 + [0])
 
 
 def test_unit_vector_has_unit_norm():
@@ -176,6 +186,75 @@ def test_sample_indices_full_is_permutation():
 def test_sample_indices_validates():
     with pytest.raises(ValueError):
         Rng(1).sample_indices(3, 4)
+    with pytest.raises(ValueError):
+        Rng(1).sample_indices(5, -1)
+
+
+# --- block draws against the scalar loops in oracles ---
+
+BLOCK_SIZES = [0, 1, ng._BULK_MIN - 1, ng._BULK_MIN, ng._BULK_MIN + 1,
+               ng._BLOCK - 1, ng._BLOCK, ng._BLOCK + 1, 3 * ng._BLOCK + 7]
+
+
+def _same_stream_after(a, b):
+    assert a.state == b.state
+    assert a.next_u32() == b.next_u32()
+
+
+@pytest.mark.parametrize("seed,seq", STREAMS)
+@pytest.mark.parametrize("k", BLOCK_SIZES)
+def test_u32_block_matches_reference(seed, seq, k):
+    rng = Rng(seed, seq)
+    words = rng._u32_block(k)
+    assert words.dtype == np.uint64
+    expected = oracles.pcg32_stream(seed, seq, k + 1)
+    assert words.tolist() == expected[:k]
+    assert rng.next_u32() == expected[k]
+
+
+def _bulk_and_scalar(name, size):
+    # (library call, oracle call) for one method and size.
+    return {
+        "uniforms": (lambda r: r.uniforms(size, -3.0, 7.0), lambda r: oracles.uniforms(r, size, -3.0, 7.0)),
+        "normals": (lambda r: r.normals(size, 0.5, 0.37), lambda r: oracles.normals(r, size, 0.5, 0.37)),
+        "randints": (lambda r: r.randints(range(size + 1, 1, -1)), lambda r: oracles.randints(r, range(size + 1, 1, -1))),
+        "unit_vectors": (lambda r: r.unit_vectors(size), lambda r: np.reshape(oracles.unit_vectors(r, size), (size, 3))),
+        "permutation": (lambda r: r.permutation(size), lambda r: oracles.permutation(r, size)),
+        "sample_indices": (lambda r: r.sample_indices(size + 3, size), lambda r: oracles.sample_indices(r, size + 3, size)),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["uniforms", "normals", "randints", "unit_vectors", "permutation", "sample_indices"])
+@pytest.mark.parametrize("size", [0, 1, ng._BULK_MIN - 1, ng._BULK_MIN, ng._BULK_MIN + 1, 1025, 2 * ng._BLOCK + 3])
+def test_block_methods_equal_scalar_loops(name, size):
+    bulk, scalar = _bulk_and_scalar(name, size)
+    for seed, seq in STREAMS:
+        a, b = Rng(seed, seq), Rng(seed, seq)
+        got = np.asarray(bulk(a))
+        want = np.asarray(scalar(b), dtype=got.dtype)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
+        _same_stream_after(a, b)
+
+
+def test_randints_rejection_keeps_the_stream():
+    # For moduli just above 2**31 about half of all words fall below the
+    # rejection threshold; the prefix of 3s moves the first rejection along.
+    class Counting:
+        def __init__(self, rng):
+            self.rng, self.draws = rng, 0
+
+        def next_u32(self):
+            self.draws += 1
+            return self.rng.next_u32()
+
+    big = 2**31 + 12345
+    for seed in range(6):
+        moduli = [3] * (seed * 5) + [7, big, 1000, 2**32, 1] * 8 + [big] * (seed + 1) + [3] * 40
+        a, b = Rng(seed, 5), Counting(Rng(seed, 5))
+        assert a.randints(moduli) == oracles.randints(b, moduli)
+        assert b.draws > len(moduli)  # the rejection path ran
+        _same_stream_after(a, b.rng)
 
 
 # --- seed derivation ---
