@@ -336,44 +336,16 @@ def scale(a: Node, c: float) -> Node:
     return Node(a.value * c, (a,), push)
 
 
-def affine(x: Node, w: Node, b: Node) -> Node:
-    """x @ w + b for x of shape (P, K) or (K,)."""
-    xs, ws, bs = x.value.shape, w.value.shape, b.value.shape
-    if len(ws) != 2 or len(bs) != 1 or len(xs) not in (1, 2):
-        raise ShapeError("affine: bad ranks x%s w%s b%s" % (xs, ws, bs))
-    if xs[-1] != ws[0] or bs[0] != ws[1]:
-        raise ShapeError("affine: x%s w%s b%s do not chain" % (xs, ws, bs))
-
-    def push(g):
-        if len(xs) == 2:
-            x.adjoint += g @ w.value.T
-            w.adjoint += x.value.T @ g
-            b.adjoint += g.sum(axis=0)
-        else:
-            x.adjoint += w.value @ g
-            w.adjoint += np.outer(x.value, g)
-            b.adjoint += g
-
-    return Node(x.value @ w.value + b.value, (x, w, b), push)
-
-
-def relu(a: Node) -> Node:
-    def push(g):
-        a.adjoint += g * (a.value > 0.0)
-
-    return Node(np.maximum(a.value, 0.0), (a,), push)
-
-
 def softmax(a: Node) -> Node:
     """Softmax over the last axis, shift-stabilized."""
     z = a.value
     if z.ndim < 1 or z.shape[-1] < 1:
         raise ShapeError("softmax: need a non-empty last axis, got %s" % (z.shape,))
-    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-    s = e / np.sum(e, axis=-1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def push(g):
-        dot = np.sum(g * s, axis=-1, keepdims=True)
+        dot = (g * s).sum(axis=-1, keepdims=True)
         a.adjoint += s * (g - dot)
 
     return Node(s, (a,), push)
@@ -406,38 +378,47 @@ def log_clamped(a: Node, floor: float = LOG_FLOOR, ceiling: float | None = None)
     return Node(np.log(clamped), (a,), push)
 
 
+def broadcast(a: Node, n: int) -> Node:
+    """n stacked copies of a, shape (n,) + a's shape, one adjoint row each.
+
+    A batch that sends sample s's gradient to row s keeps the per-sample
+    gradients apart; push then adds the rows into a's adjoint one by one in
+    row order, which is the order a loop of per-sample graphs would add them.
+    """
+    if n < 1:
+        raise ShapeError("broadcast: need at least one row, got %d" % n)
+
+    def push(g):
+        # Row by row on purpose: g.sum(axis=0) promises no order and may
+        # add the rows pairwise.
+        for row in g:
+            a.adjoint += row
+
+    return Node(np.broadcast_to(a.value, (n,) + a.value.shape), (a,), push)
+
+
 def outer(a: Node, b: Node) -> Node:
-    if a.value.ndim != 1 or b.value.ndim != 1:
-        raise ShapeError("outer_product: need two vectors, got %s and %s" % (a.value.shape, b.value.shape))
+    """Outer product of two vectors, or of two (B, N) row stacks row by row,
+    giving (B, N, M). Row-stacked products are 1-row matmuls, which round
+    exactly like the vector ones."""
+    av, bv = a.value, b.value
+    if av.ndim not in (1, 2) or av.shape[:-1] != bv.shape[:-1]:
+        raise ShapeError("outer_product: need two vectors or two row stacks, got %s and %s" % (av.shape, bv.shape))
 
     def push(g):
-        a.adjoint += g @ b.value
-        b.adjoint += a.value @ g
+        a.adjoint += (g @ bv[..., None])[..., 0]
+        b.adjoint += (av[..., None, :] @ g)[..., 0, :]
 
-    return Node(np.outer(a.value, b.value), (a, b), push)
+    return Node(av[..., :, None] * bv[..., None, :], (a, b), push)
 
 
-def reduce_max(a: Node) -> Node:
-    """Column-wise max over the point axis of a (P, H) tensor."""
-    if a.value.ndim != 2 or a.value.shape[0] < 1:
-        raise ShapeError("reduce_max: need a non-empty (points, features) tensor, got %s" % (a.value.shape,))
-
+def reduce_sum(a: Node, axis=None) -> Node:
+    """Sum of all entries, or over axis (an int or a tuple), which keeps one
+    total per row of a row stack."""
     def push(g):
-        # np.argmax returns the first maximum, so ties route to the lowest
-        # point index by construction.
-        idx = np.argmax(a.value, axis=0)
-        scatter = np.zeros_like(a.value)
-        scatter[idx, np.arange(a.value.shape[1])] = g
-        a.adjoint += scatter
+        a.adjoint += g if axis is None else np.expand_dims(g, axis)
 
-    return Node(np.max(a.value, axis=0), (a,), push)
-
-
-def reduce_sum(a: Node) -> Node:
-    def push(g):
-        a.adjoint += g
-
-    return Node(np.sum(a.value), (a,), push)
+    return Node(np.sum(a.value, axis=axis), (a,), push)
 
 
 def _topo_order(root: Node) -> list[Node]:
@@ -469,7 +450,9 @@ def backward(root: Node) -> dict[Node, np.ndarray]:
         raise ShapeError("backward: root must be scalar, got shape %s" % (root.value.shape,))
     order = _topo_order(root)
     for node in order:
-        node.adjoint = np.zeros_like(node.value)
+        # C order even for a broadcast view: zeros_like would keep its row
+        # axis innermost, and adding whole rows into that is slow.
+        node.adjoint = np.zeros_like(node.value, order="C")
     root.adjoint = np.ones_like(root.value)
     for node in reversed(order):
         if node.push is not None:

@@ -151,32 +151,67 @@ def _one_hot(label: int, n_classes: int) -> np.ndarray:
     return q
 
 
-def _sample_loss(leaves, sample, config, n_classes, teacher_probs, rng):
-    """Build the per-sample loss graph for the configured strategy."""
-    q = _one_hot(sample.label, n_classes)
-    _, p_clean, _ = forward_nodes(leaves, ng.leaf(sample.points))
+def _stack(clouds) -> tuple[ng.Node, list[int]]:
+    """A leaf over the clouds stacked into one (sum P, 3) array, and the
+    segment offsets that split it back into clouds."""
+    offsets = [0]
+    for cloud in clouds:
+        offsets.append(offsets[-1] + len(cloud))
+    return ng.leaf(np.concatenate(clouds)), offsets
+
+
+def _batch_grads(params, samples, batch, epoch, config, n_classes, teacher_probs):
+    """Per-sample losses and summed parameter gradients of one minibatch.
+
+    One graph covers the batch: each parameter leaf is broadcast to one
+    gradient row per sample, the losses come out as one row per sample and
+    backward runs once. The rows and their sum are what a loop of
+    per-sample graphs would give, bit for bit. Returning drops the graph,
+    so it is gone before the next batch builds its own.
+    """
+    clean = [samples[i].points for i in batch]
+    q = np.stack([_one_hot(samples[i].label, n_classes) for i in batch])
+    leaves = param_leaves(params)
+    rows = {key: ng.broadcast(leaf, len(batch)) for key, leaf in leaves.items()}
+    clean_points, offsets = _stack(clean)
+    _, p_clean, _ = forward_nodes(rows, clean_points, offsets)
     ce_clean = losses.cross_entropy_smoothed(p_clean, q, config.epsilon)
 
     if config.strategy == "st" and not config.augment:
-        return losses.total_loss(ce_clean, ng.leaf(0.0), config.alpha, config.beta)
-
-    if config.augment:
-        corrupted, _ = compose_random(sample.points, rng)
+        loss = losses.total_loss(ce_clean, ng.leaf(np.zeros(len(batch))), config.alpha, config.beta)
     else:
-        corrupted = sample.points  # siamese twin degenerates to the clean cloud
-    _, p_prime, _ = forward_nodes(leaves, ng.leaf(corrupted))
-    ce = ng.add(
-        ng.scale(ce_clean, 0.5),
-        ng.scale(losses.cross_entropy_smoothed(p_prime, q, config.epsilon), 0.5),
-    )
+        if config.augment:
+            corrupted = [
+                compose_random(points, Rng(split_seed(config.seed, epoch, i)))[0]
+                for points, i in zip(clean, batch)
+            ]
+            prime_points, prime_offsets = _stack(corrupted)
+        else:
+            # the siamese twin degenerates to the clean cloud
+            prime_points, prime_offsets = clean_points, offsets
+        _, p_prime, _ = forward_nodes(rows, prime_points, prime_offsets)
+        ce = ng.add(
+            ng.scale(ce_clean, 0.5),
+            ng.scale(losses.cross_entropy_smoothed(p_prime, q, config.epsilon), 0.5),
+        )
+        if config.strategy == "st":
+            kd = ng.leaf(np.zeros(len(batch)))
+        elif config.strategy == "skd":
+            kd = losses.jgeskd_loss(p_clean, p_prime, config.detach_target)
+        else:
+            p_teacher = np.stack([teacher_probs[i] for i in batch])
+            kd = losses.jgetkd_loss(p_clean, p_prime, q, p_teacher, config.epsilon)
+        loss = losses.total_loss(ce, kd, config.alpha, config.beta)
 
-    if config.strategy == "st":
-        kd = ng.leaf(0.0)
-    elif config.strategy == "skd":
-        kd = losses.jgeskd_loss(p_clean, p_prime, config.detach_target)
-    else:
-        kd = losses.jgetkd_loss(p_clean, p_prime, q, teacher_probs, config.epsilon)
-    return losses.total_loss(ce, kd, config.alpha, config.beta)
+    values = loss.value.tolist()
+    for ds_index, value in zip(batch, values):
+        if not math.isfinite(value):
+            raise NumericalError(
+                "non-finite loss %r at epoch %d, sample %d (%s)"
+                % (value, epoch, ds_index, config.strategy)
+            )
+    ng.backward(ng.reduce_sum(loss))
+    return values, {key: leaf.adjoint for key, leaf in leaves.items()}
 
 
 def train(config: TrainConfig, train_samples, test_samples) -> tuple[ModelParams, MetricsReport]:
@@ -219,29 +254,9 @@ def train(config: TrainConfig, train_samples, test_samples) -> tuple[ModelParams
         epoch_loss = 0.0
         for start in range(0, n, BATCH_SIZE):
             batch = order[start : start + BATCH_SIZE]
-            grads = {key: np.zeros_like(arr) for key, arr in params.blocks().items()}
-            for ds_index in batch:
-                sample = samples[ds_index]
-                rng = Rng(split_seed(config.seed, epoch, ds_index))
-                leaves = param_leaves(params)
-                loss = _sample_loss(
-                    leaves,
-                    sample,
-                    config,
-                    n_classes,
-                    teacher_probs[ds_index] if teacher_probs else None,
-                    rng,
-                )
-                value = float(loss.value)
-                if not np.isfinite(value):
-                    raise NumericalError(
-                        "non-finite loss %r at epoch %d, sample %d (%s)"
-                        % (value, epoch, ds_index, config.strategy)
-                    )
+            values, grads = _batch_grads(params, samples, batch, epoch, config, n_classes, teacher_probs)
+            for value in values:
                 epoch_loss += value
-                ng.backward(loss)
-                for key in PARAM_KEYS:
-                    grads[key] += leaves[key].adjoint
             for key in PARAM_KEYS:
                 grads[key] /= len(batch)
             adam.step(params, grads, config.learning_rate)

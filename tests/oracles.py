@@ -1,11 +1,20 @@
 """Brute-force reference implementations used by the test suite.
 
-Everything here is pure Python over float lists, summed with math.fsum.
-Nothing is shared with the library's numpy code paths, so agreement
-between the two is meaningful.
+Most of it is pure Python over float lists, summed with math.fsum. Nothing
+there is shared with the library's numpy code paths, so agreement between
+the two is meaningful.
+
+The last section is different: the per-op graph the classifier used to be
+built from (affine, relu, reduce_max as separate nodes, one cloud at a
+time). model.forward_nodes must match it bit for bit, values and gradients.
 """
 
 import math
+
+import numpy as np
+
+from jgekd import numerics as ng
+from jgekd.numerics import Node, ShapeError
 
 LOG_FLOOR = 1e-12
 
@@ -165,3 +174,60 @@ def random_prob_vector(rng, n):
     x = [-math.log(1.0 - rng.random()) for _ in range(n)]
     s = math.fsum(x)
     return [v / s for v in x]
+
+
+# Per-op classifier graph: one node per layer, one cloud per call.
+
+
+def affine(x: Node, w: Node, b: Node) -> Node:
+    """x @ w + b for x of shape (P, K) or (K,)."""
+    xs, ws, bs = x.value.shape, w.value.shape, b.value.shape
+    if len(ws) != 2 or len(bs) != 1 or len(xs) not in (1, 2):
+        raise ShapeError("affine: bad ranks x%s w%s b%s" % (xs, ws, bs))
+    if xs[-1] != ws[0] or bs[0] != ws[1]:
+        raise ShapeError("affine: x%s w%s b%s do not chain" % (xs, ws, bs))
+
+    def push(g):
+        if len(xs) == 2:
+            x.adjoint += g @ w.value.T
+            w.adjoint += x.value.T @ g
+            b.adjoint += g.sum(axis=0)
+        else:
+            x.adjoint += w.value @ g
+            w.adjoint += np.outer(x.value, g)
+            b.adjoint += g
+
+    return Node(x.value @ w.value + b.value, (x, w, b), push)
+
+
+def relu(a: Node) -> Node:
+    def push(g):
+        a.adjoint += g * (a.value > 0.0)
+
+    return Node(np.maximum(a.value, 0.0), (a,), push)
+
+
+def reduce_max(a: Node) -> Node:
+    """Column-wise max over the point axis of a (P, H) tensor."""
+    if a.value.ndim != 2 or a.value.shape[0] < 1:
+        raise ShapeError("reduce_max: need a non-empty (points, features) tensor, got %s" % (a.value.shape,))
+
+    def push(g):
+        # np.argmax returns the first maximum, so ties route to the lowest
+        # point index by construction.
+        idx = np.argmax(a.value, axis=0)
+        scatter = np.zeros_like(a.value)
+        scatter[idx, np.arange(a.value.shape[1])] = g
+        a.adjoint += scatter
+
+    return Node(np.max(a.value, axis=0), (a,), push)
+
+
+def classifier_nodes(leaves, points: Node):
+    """(logits, probs, embedding) of one cloud, one node per layer."""
+    h1 = relu(affine(points, leaves["w1"], leaves["b1"]))
+    h2 = relu(affine(h1, leaves["w2"], leaves["b2"]))
+    embedding = reduce_max(h2)
+    h3 = relu(affine(embedding, leaves["w3"], leaves["b3"]))
+    logits = affine(h3, leaves["w4"], leaves["b4"])
+    return logits, ng.softmax(logits), embedding

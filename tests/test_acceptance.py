@@ -2,7 +2,8 @@
 
 Tests 1 to 8 are oracle and property checks and finish in seconds each.
 Tests 9 to 11 train real models on the synthetic dataset and dominate the
-suite's wall clock (a few minutes on one core). Each test ends by printing
+suite's wall clock (a few minutes on one core); they carry the `slow`
+marker, so `pytest -m "not slow"` leaves them out. Each test ends by printing
 a single PASS/FAIL line, so `pytest -v -s tests/test_acceptance.py` reads
 as a checklist.
 """
@@ -11,6 +12,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import oracles
 from jgekd import losses, numerics as ng
@@ -356,6 +358,7 @@ def test_criterion_08_mce_self_consistency():
 # --- 9: desk-scale training ---
 
 
+@pytest.mark.slow
 def test_criterion_09_desk_scale_training():
     train_samples = generate_split(100, 64, seed=0, split_index=0)
     test_samples = generate_split(30, 64, seed=0, split_index=1)
@@ -381,6 +384,7 @@ C10_POINTS = 32
 C10_EPOCHS = 40
 
 
+@pytest.mark.slow
 def test_criterion_10_robustness_ordering(tmp_path):
     train_samples = generate_split(C10_PER_TRAIN, C10_POINTS, seed=0, split_index=0)
     test_samples = generate_split(C10_PER_TEST, C10_POINTS, seed=0, split_index=1)
@@ -427,6 +431,7 @@ C11_TRAIN_COUNTS = [(100, 50, 25)[i % 3] for i in range(8)]
 C11_TEST_COUNTS = [(30, 15, 8)[i % 3] for i in range(8)]
 
 
+@pytest.mark.slow
 def test_criterion_11_gap_narrowing():
     train_samples = generate_split(C11_TRAIN_COUNTS, C11_POINTS, seed=0, split_index=0)
     test_samples = generate_split(C11_TEST_COUNTS, C11_POINTS, seed=0, split_index=1)

@@ -21,10 +21,10 @@ import numpy as np
 
 from jgekd import training
 from jgekd.cli import EXIT_OK, main
-from jgekd.corruptions import ALL_EVAL_KINDS, apply_corruption, compose_random
-from jgekd.model import load_params
+from jgekd.corruptions import ALL_EVAL_KINDS, MIN_SURVIVORS, apply_corruption, compose_random
+from jgekd.model import load_params, save_params
 from jgekd.numerics import Rng, split_seed
-from jgekd.pointcloud import generate_minishapes, generate_shape, load_dataset
+from jgekd.pointcloud import generate_minishapes, generate_shape, load_dataset, normalize_unit_sphere
 
 PER_TRAIN = 4
 PER_TEST = 2
@@ -39,6 +39,7 @@ GOLDEN = {
     "robustness": "e8aadee109862e8fbc16e3e5837f40b87bc8b034c3257e4470746ba9309e5141",
     "corruptions": "34923571997ae3ab7637837975412782cad3665996bbb2aba2ee0a1e440674b9",
     "corruptions_1024": "b331454abea3410f1f0416430eb435b64ca2f50fa8ae5a48e073c45341baaf6b",
+    "training_paths": "ab79b8f1369bde0268cea851019716558ef666025a78a0916e042631fc2c34f2",
 }
 
 # (class, points, seed, scale) of the clouds the corruption hash runs on. The
@@ -59,6 +60,20 @@ COMPOSE_DRAWS = 16
 # block of the bulk generator, which the clouds above never reach.
 LARGE_CLOUD = (2, 1024, 8)
 LARGE_CLOUD_KINDS = ("gaussian", "uniform", "upsampling", "impulse", "density_inc", "density_dec")
+
+
+# Training paths the CLI runs above never take: 20 samples (a full batch of
+# 16, then a partial one of 4), skd with a detached target, st without
+# augmentation and tkd, all on 9- and 12-point clouds, whose corrupted twins
+# fall to the MIN_SURVIVORS floor of 8 rows.
+PATHS_SAMPLES = 20
+PATHS_POINTS = (9, 12)
+PATHS_EPOCHS = 3
+PATHS_CONFIGS = (
+    ("skd", {"detach_target": True}),
+    ("st", {"augment": False}),
+    ("tkd", {}),
+)
 
 
 def _sha256(data: bytes) -> str:
@@ -156,3 +171,43 @@ def test_large_cloud_corruption_outputs_hash():
             digest.update(("%s %d" % (name, severity)).encode())
             _update_cloud(digest, apply_corruption(points, name, severity, rng))
     assert digest.hexdigest() == GOLDEN["corruptions_1024"]
+
+
+def _paths_samples():
+    return [
+        generate_shape(i % 8, PATHS_POINTS[i % 2], split_seed(0, 0x50415448, i))
+        for i in range(PATHS_SAMPLES)
+    ]
+
+
+def test_training_paths_reach_min_survivors():
+    """The corrupted twins the hash below trains on include 8-row clouds."""
+    samples = [normalize_unit_sphere(s.points) for s in _paths_samples()]
+    rows = {
+        len(compose_random(points, Rng(split_seed(0, epoch, index)))[0])
+        for epoch in range(PATHS_EPOCHS)
+        for index, points in enumerate(samples)
+    }
+    assert MIN_SURVIVORS in rows
+
+
+def test_training_paths_hash(tmp_path):
+    samples = _paths_samples()
+    teacher = str(tmp_path / "teacher.jgp")
+    digest = hashlib.sha256()
+    for strategy, options in PATHS_CONFIGS:
+        config = training.TrainConfig(
+            strategy=strategy,
+            epochs=PATHS_EPOCHS,
+            seed=0,
+            n_classes=8,
+            teacher_checkpoint=teacher if strategy == "tkd" else None,
+            **options,
+        )
+        params, report = training.train(config, samples, samples[:8])
+        path = teacher if strategy == "skd" else str(tmp_path / ("%s.jgp" % strategy))
+        save_params(path, params)
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+        digest.update(" ".join(float(v).hex() for v in report.loss_history).encode())
+    assert digest.hexdigest() == GOLDEN["training_paths"]

@@ -332,7 +332,7 @@ def test_softmax_last_axis_on_matrix():
 
 
 def test_relu_example():
-    out = ng.relu(ng.leaf(np.array([-1.0, 0.0, 2.0]))).value
+    out = oracles.relu(ng.leaf(np.array([-1.0, 0.0, 2.0]))).value
     assert out.tolist() == [0.0, 0.0, 2.0]
 
 
@@ -359,7 +359,7 @@ def test_outer_product_example():
 
 def test_reduce_max_takes_columnwise_max():
     m = ng.leaf(np.array([[1.0, 5.0], [3.0, 2.0]]))
-    assert ng.reduce_max(m).value.tolist() == [3.0, 5.0]
+    assert oracles.reduce_max(m).value.tolist() == [3.0, 5.0]
 
 
 def test_reduce_sum_scalar():
@@ -368,12 +368,41 @@ def test_reduce_sum_scalar():
     assert float(out.value) == 10.0
 
 
+def test_outer_row_stack_matches_vectors():
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+    out = ng.outer(ng.leaf(a), ng.leaf(b)).value
+    assert out.shape == (5, 4, 3)
+    for row in range(5):
+        assert np.array_equal(out[row], ng.outer(ng.leaf(a[row]), ng.leaf(b[row])).value)
+
+
+def test_reduce_sum_over_axes_keeps_rows():
+    x = np.arange(12.0).reshape(2, 2, 3)
+    assert ng.reduce_sum(ng.leaf(x), axis=-1).value.tolist() == [[3.0, 12.0], [21.0, 30.0]]
+    assert ng.reduce_sum(ng.leaf(x), axis=(-2, -1)).value.tolist() == [15.0, 51.0]
+
+
+def test_broadcast_rows_and_their_gradient_order():
+    a = ng.leaf(np.array([1.0, 2.0]))
+    rows = ng.broadcast(a, 3)
+    assert rows.value.shape == (3, 2)
+    assert np.array_equal(rows.value, [[1.0, 2.0]] * 3)
+    weights = ng.leaf(np.array([[1.0, 10.0], [1e16, 0.0], [-1e16, 0.0]]))
+    grads = ng.backward(ng.reduce_sum(ng.mul(rows, weights)))
+    # Rows are added in order: (1 + 1e16) - 1e16 loses the 1, as a loop of
+    # per-sample gradients would; a pairwise sum would not.
+    assert grads[a].tolist() == [(1.0 + 1e16) - 1e16, 10.0]
+    with pytest.raises(ShapeError):
+        ng.broadcast(a, 0)
+
+
 def test_affine_matches_numpy():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(6, 4))
     w = rng.normal(size=(4, 3))
     b = rng.normal(size=3)
-    out = ng.affine(ng.leaf(x), ng.leaf(w), ng.leaf(b)).value
+    out = oracles.affine(ng.leaf(x), ng.leaf(w), ng.leaf(b)).value
     assert np.array_equal(out, x @ w + b)
 
 
@@ -383,9 +412,9 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         ng.outer(ng.leaf(np.zeros((2, 2))), ng.leaf(np.zeros(2)))
     with pytest.raises(ShapeError):
-        ng.reduce_max(ng.leaf(np.zeros(4)))
+        oracles.reduce_max(ng.leaf(np.zeros(4)))
     with pytest.raises(ShapeError):
-        ng.affine(ng.leaf(np.zeros((2, 3))), ng.leaf(np.zeros((4, 5))), ng.leaf(np.zeros(5)))
+        oracles.affine(ng.leaf(np.zeros((2, 3))), ng.leaf(np.zeros((4, 5))), ng.leaf(np.zeros(5)))
 
 
 def test_scale_rejects_non_finite_constant():
@@ -455,7 +484,7 @@ def test_log_clamped_zero_slope_outside_range():
 
 def test_relu_gradient_gate():
     x = ng.leaf(np.array([-1.0, 2.0]))
-    grads = ng.backward(ng.reduce_sum(ng.relu(x)))
+    grads = ng.backward(ng.reduce_sum(oracles.relu(x)))
     assert grads[x].tolist() == [0.0, 1.0]
 
 
@@ -501,7 +530,7 @@ def test_grad_affine_each_input():
         b = ng.leaf(rng.normal(size=3))
         v = ng.leaf(rng.normal(size=(5, 3)))
         return (
-            lambda t: ng.reduce_sum(ng.mul(ng.affine(t, w, b), v)),
+            lambda t: ng.reduce_sum(ng.mul(oracles.affine(t, w, b), v)),
             rng.normal(size=(5, 4)),
         )
 
@@ -510,7 +539,7 @@ def test_grad_affine_each_input():
         b = ng.leaf(rng.normal(size=3))
         v = ng.leaf(rng.normal(size=(5, 3)))
         return (
-            lambda t: ng.reduce_sum(ng.mul(ng.affine(x, t, b), v)),
+            lambda t: ng.reduce_sum(ng.mul(oracles.affine(x, t, b), v)),
             rng.normal(size=(4, 3)),
         )
 
@@ -519,7 +548,7 @@ def test_grad_affine_each_input():
         w = ng.leaf(rng.normal(size=(4, 3)))
         v = ng.leaf(rng.normal(size=(5, 3)))
         return (
-            lambda t: ng.reduce_sum(ng.mul(ng.affine(x, w, t), v)),
+            lambda t: ng.reduce_sum(ng.mul(oracles.affine(x, w, t), v)),
             rng.normal(size=3),
         )
 
@@ -532,7 +561,7 @@ def test_grad_affine_vector_input():
     def make(rng):
         w = ng.leaf(rng.normal(size=(4, 3)))
         b = ng.leaf(rng.normal(size=3))
-        return (lambda t: ng.reduce_sum(ng.affine(t, w, b)), rng.normal(size=4))
+        return (lambda t: ng.reduce_sum(oracles.affine(t, w, b)), rng.normal(size=4))
 
     _run_checks(make, count=50)
 
@@ -542,7 +571,7 @@ def test_grad_relu_away_from_kink():
         x = rng.normal(size=6)
         x[np.abs(x) < 1e-2] = 0.5  # keep clear of the hinge for finite differences
         v = ng.leaf(rng.normal(size=6))
-        return (lambda t: ng.reduce_sum(ng.mul(ng.relu(t), v)), x)
+        return (lambda t: ng.reduce_sum(ng.mul(oracles.relu(t), v)), x)
 
     _run_checks(make)
 
@@ -579,9 +608,37 @@ def test_grad_reduce_max():
     def make(rng):
         x = rng.normal(size=(6, 4)) * 3  # ties have probability zero
         v = ng.leaf(rng.normal(size=4))
-        return (lambda t: ng.reduce_sum(ng.mul(ng.reduce_max(t), v)), x)
+        return (lambda t: ng.reduce_sum(ng.mul(oracles.reduce_max(t), v)), x)
 
     _run_checks(make)
+
+
+def test_grad_outer_row_stacks():
+    def make(rng):
+        other = ng.leaf(rng.normal(size=(3, 4)))
+        v = ng.leaf(rng.normal(size=(3, 2, 4)))
+        return (
+            lambda t: ng.reduce_sum(ng.mul(ng.outer(t, other), v)),
+            rng.normal(size=(3, 2)),
+        )
+
+    _run_checks(make, count=30)
+
+
+def test_grad_broadcast():
+    def make(rng):
+        v = ng.leaf(rng.normal(size=(4, 3)))
+        return (lambda t: ng.reduce_sum(ng.mul(ng.broadcast(t, 4), v)), rng.normal(size=3))
+
+    _run_checks(make, count=30)
+
+
+def test_grad_reduce_sum_over_axis():
+    def make(rng):
+        v = ng.leaf(rng.normal(size=3))
+        return (lambda t: ng.reduce_sum(ng.mul(ng.reduce_sum(t, axis=-1), v)), rng.normal(size=(3, 4)))
+
+    _run_checks(make, count=30)
 
 
 def test_grad_reduce_sum():

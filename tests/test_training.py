@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -218,7 +219,10 @@ def test_train_rejects_bad_labels():
 def test_train_nan_aborts_with_numerical_error():
     train_samples, test_samples = _splits()
     cfg = TrainConfig(strategy="st", epochs=3, seed=0, augment=False, learning_rate=1e300)
-    with pytest.raises(NumericalError):
+    # Rows are checked in batch order, so the first non-finite sample of the
+    # batch is blamed, as when each sample had its own graph.
+    message = "non-finite loss nan at epoch 1, sample 1 (st)"
+    with pytest.raises(NumericalError, match="^%s$" % re.escape(message)):
         train(cfg, train_samples, test_samples)
 
 
