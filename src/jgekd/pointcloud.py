@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, split_seed
+from .numerics import _TWO53, Rng, _math_map, _unit53, split_seed
 
 CLASS_NAMES = ("sphere", "cube", "cylinder", "cone", "torus", "plane", "helix", "dumbbell")
 NUM_CLASSES = len(CLASS_NAMES)
@@ -90,21 +90,92 @@ def normalize_unit_sphere(points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _sample_sphere(rng):
-    return rng.unit_vector()
+# Every class draws a cloud's words as one PCG32 block (Rng._u32_block;
+# the cube and the torus draw again on rare paths, see surface_points). The
+# words, and the roles they play, are those of a loop that samples one point
+# at a time with scalar Rng calls, so clouds and end states match that loop
+# bit for bit. Each point is its surface sample followed by
+# normals(3, sigma=JITTER_STD), whose 8 words are 4 of the 53-bit values
+# below (_unit53 of a word pair, as Rng.next_u64 >> 11 gives it).
 
 
-def _sample_cube(rng):
+def _uniform(bits, lo=0.0, hi=1.0):
+    """Rng.uniform(lo, hi) of each 53-bit value."""
+    return lo + (hi - lo) * (bits / _TWO53)
+
+
+def _values(rng, n, k) -> np.ndarray:
+    """(n, k) 53-bit values, row by row, from one block of 2 * k * n words."""
+    return _unit53(rng._u32_block(2 * k * n)).reshape(n, k)
+
+
+def _jitter(bits) -> np.ndarray:
+    """normals(3, sigma=JITTER_STD) of each row of bits (u1, u2, u1, u2): the
+    cosine and sine legs of the first Box-Muller pair, then the cosine leg
+    of the second."""
+    n = bits.shape[0]
+    u1 = (bits[:, 0::2].ravel() + 1) / _TWO53
+    theta = 2.0 * math.pi * (bits[:, 1::2].ravel() / _TWO53)
+    r = np.sqrt(-2.0 * _math_map(math.log, u1))
+    out = np.empty((n, 3))
+    # 0.0 + is normals' mu, which turns a -0.0 leg into 0.0.
+    out[:, 0::2] = (0.0 + JITTER_STD * r * _math_map(math.cos, theta)).reshape(n, 2)
+    out[:, 1] = 0.0 + JITTER_STD * r[0::2] * _math_map(math.sin, theta[0::2])
+    return out
+
+
+def _ring(rho, theta, z) -> np.ndarray:
+    return np.stack([rho * _math_map(math.cos, theta), rho * _math_map(math.sin, theta), z], axis=1)
+
+
+def _unit_vectors(z_bits, phi_bits) -> np.ndarray:
+    """Rng.unit_vector of each (z, phi) pair of values."""
+    z = _uniform(z_bits, -1.0, 1.0)
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return _ring(r, _uniform(phi_bits, 0.0, 2.0 * math.pi), z)
+
+
+# Each class below maps (rng, n) to the n surface samples and the (n, 4)
+# values of their jitter.
+
+
+def _sphere(rng, n):
+    v = _values(rng, n, 6)
+    return _unit_vectors(v[:, 0], v[:, 1]), v[:, 2:]
+
+
+# randint(6) rejects words below this threshold and draws again.
+_CUBE_REJECT = ((1 << 32) - 6) % 6
+
+
+def _cube(rng, n):
     # Faces are equal-area, so a uniform face pick keeps the surface uniform.
-    face = rng.randint(6)
-    u = rng.uniform(-0.5, 0.5)
-    v = rng.uniform(-0.5, 0.5)
-    p = np.empty(3)
-    axis = face >> 1
-    p[axis] = 0.5 if face & 1 == 0 else -0.5
-    p[(axis + 1) % 3] = u
-    p[(axis + 2) % 3] = v
-    return p
+    faces, rest = [], []
+    while n:
+        start = rng.state
+        words = rng._u32_block(13 * n).reshape(n, 13)
+        rejected = np.flatnonzero(words[:, 0] < _CUBE_REJECT)
+        k = int(rejected[0]) if rejected.size else n
+        faces.append(words[:k, 0] % 6)
+        rest.append(words[:k, 1:])
+        if k < n:
+            # Rewind to point k, let scalar randint(6) draw its face, then
+            # its other 12 words; the next block starts after them.
+            rng.state = start
+            rng._u32_block(13 * k)
+            faces.append(np.array([rng.randint(6)], dtype=np.uint64))
+            rest.append(rng._u32_block(12).reshape(1, 12))
+            k += 1
+        n -= k
+    face = np.concatenate(faces)
+    v = _unit53(np.concatenate(rest).ravel()).reshape(face.size, 6)
+    axis = (face >> 1).astype(np.intp)
+    rows = np.arange(face.size)
+    p = np.empty((face.size, 3))
+    p[rows, axis] = np.where(face & 1 == 0, 0.5, -0.5)
+    p[rows, (axis + 1) % 3] = _uniform(v[:, 0], -0.5, 0.5)
+    p[rows, (axis + 2) % 3] = _uniform(v[:, 1], -0.5, 0.5)
+    return p, v[:, 2:]
 
 
 _CYL_R, _CYL_H = 0.5, 2.0
@@ -113,15 +184,14 @@ _CYL_LATERAL_FRAC = (2.0 * math.pi * _CYL_R * _CYL_H) / (
 )
 
 
-def _sample_cylinder(rng):
-    u = rng.uniform()
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    if u < _CYL_LATERAL_FRAC:
-        z = rng.uniform(-1.0, 1.0)
-        return np.array([_CYL_R * math.cos(theta), _CYL_R * math.sin(theta), z])
-    rho = _CYL_R * math.sqrt(rng.uniform())
-    z = 1.0 if u < (1.0 + _CYL_LATERAL_FRAC) / 2.0 else -1.0
-    return np.array([rho * math.cos(theta), rho * math.sin(theta), z])
+def _cylinder(rng, n):
+    v = _values(rng, n, 7)
+    u = _uniform(v[:, 0])
+    lateral = u < _CYL_LATERAL_FRAC
+    rho = np.where(lateral, _CYL_R, _CYL_R * np.sqrt(_uniform(v[:, 2])))
+    cap = np.where(u < (1.0 + _CYL_LATERAL_FRAC) / 2.0, 1.0, -1.0)
+    z = np.where(lateral, _uniform(v[:, 2], -1.0, 1.0), cap)
+    return _ring(rho, _uniform(v[:, 1], 0.0, 2.0 * math.pi), z), v[:, 3:]
 
 
 _CONE_R = 0.5
@@ -129,70 +199,107 @@ _CONE_SLANT_AREA = math.pi * _CONE_R * math.hypot(2.0, _CONE_R)
 _CONE_LATERAL_FRAC = _CONE_SLANT_AREA / (_CONE_SLANT_AREA + math.pi * _CONE_R ** 2)
 
 
-def _sample_cone(rng):
-    # Apex at (0,0,1), base disc of radius 0.5 at z=-1.
-    u = rng.uniform()
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    if u < _CONE_LATERAL_FRAC:
-        t = math.sqrt(rng.uniform())  # area grows quadratically from the apex
-        rho = _CONE_R * t
-        return np.array([rho * math.cos(theta), rho * math.sin(theta), 1.0 - 2.0 * t])
-    rho = _CONE_R * math.sqrt(rng.uniform())
-    return np.array([rho * math.cos(theta), rho * math.sin(theta), -1.0])
+def _cone(rng, n):
+    # Apex at (0,0,1), base disc of radius 0.5 at z=-1. On the slant, area
+    # grows quadratically from the apex.
+    v = _values(rng, n, 7)
+    t = np.sqrt(_uniform(v[:, 2]))
+    z = np.where(_uniform(v[:, 0]) < _CONE_LATERAL_FRAC, 1.0 - 2.0 * t, -1.0)
+    return _ring(_CONE_R * t, _uniform(v[:, 1], 0.0, 2.0 * math.pi), z), v[:, 3:]
 
 
 _TORUS_R, _TORUS_r = 1.0, 0.4
+# Word pairs a torus point takes: theta, 2 per rejection trial (1.4 trials on
+# average), 4 of jitter, so 7.8 on average. The speculative block holds this
+# many per point plus a spare that doubles each time a block runs short.
+_TORUS_PAIRS, _TORUS_SPARE = 8, 16
 
 
-def _sample_torus(rng):
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    # Rejection on the tube angle: outer rim carries more area than the inner.
-    while True:
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        if rng.uniform() < (_TORUS_R + _TORUS_r * math.cos(phi)) / (_TORUS_R + _TORUS_r):
-            break
-    w = _TORUS_R + _TORUS_r * math.cos(phi)
-    return np.array([w * math.cos(theta), w * math.sin(theta), _TORUS_r * math.sin(phi)])
+def _torus(rng, n):
+    # Rejection on the tube angle phi: the outer rim carries more area than
+    # the inner. A point is theta, then (phi, u) trials until u accepts phi,
+    # then its jitter, all in word pairs. Every pair of the block is tried
+    # as a trial's phi at once; a walk over the accept flags then places
+    # each point, and the state rewinds to just after the pairs it used.
+    surfaces, jitters = [], []
+    spare = _TORUS_SPARE
+    while n:
+        start = rng.state
+        pairs = _TORUS_PAIRS * n + spare
+        bits = _unit53(rng._u32_block(2 * pairs))
+        angle = _uniform(bits, 0.0, 2.0 * math.pi)
+        cos_angle = _math_map(math.cos, angle)
+        accept = np.zeros(pairs, dtype=bool)
+        accept[:-1] = _uniform(bits[1:]) < (_TORUS_R + _TORUS_r * cos_angle[:-1]) / (_TORUS_R + _TORUS_r)
+        # first[j]: the first accepted trial among j, j + 2, j + 4, ...;
+        # pairs when the block holds none.
+        first = np.where(accept, np.arange(pairs), pairs)
+        for parity in (0, 1):
+            first[parity::2] = np.minimum.accumulate(first[parity::2][::-1])[::-1]
+        first = first.tolist()
+        theta_at, phi_at, pos = [], [], 0
+        while len(theta_at) < n and pos + 1 < pairs and first[pos + 1] + 6 <= pairs:
+            theta_at.append(pos)
+            phi_at.append(first[pos + 1])
+            pos = first[pos + 1] + 6
+        rng.state = start
+        rng._u32_block(2 * pos)
+        phi_at = np.array(phi_at, dtype=np.intp)
+        w = _TORUS_R + _TORUS_r * cos_angle[phi_at]
+        surfaces.append(_ring(w, angle[theta_at], _TORUS_r * _math_map(math.sin, angle[phi_at])))
+        jitters.append(bits[phi_at[:, None] + np.arange(2, 6)])
+        n -= len(theta_at)
+        spare *= 2
+    return np.concatenate(surfaces), np.concatenate(jitters)
 
 
-def _sample_plane(rng):
-    return np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), 0.0])
+def _plane(rng, n):
+    v = _values(rng, n, 6)
+    xy = _uniform(v[:, :2], -1.0, 1.0)
+    return np.stack([xy[:, 0], xy[:, 1], np.zeros(n)], axis=1), v[:, 2:]
 
 
-def _sample_helix(rng):
-    t = rng.uniform()
+def _helix(rng, n):
+    v = _values(rng, n, 5)
+    t = _uniform(v[:, 0])
     angle = 6.0 * math.pi * t  # three turns
-    return np.array([0.7 * math.cos(angle), 0.7 * math.sin(angle), 2.0 * t - 1.0])
+    return _ring(0.7, angle, 2.0 * t - 1.0), v[:, 1:]
 
 
-def _sample_dumbbell(rng):
-    center = 0.8 if rng.uniform() < 0.5 else -0.8
-    p = rng.unit_vector() * 0.5
-    p[0] += center
-    return p
+def _dumbbell(rng, n):
+    v = _values(rng, n, 7)
+    p = _unit_vectors(v[:, 1], v[:, 2]) * 0.5
+    p[:, 0] += np.where(_uniform(v[:, 0]) < 0.5, 0.8, -0.8)
+    return p, v[:, 3:]
 
 
-_SAMPLERS = (
-    _sample_sphere,
-    _sample_cube,
-    _sample_cylinder,
-    _sample_cone,
-    _sample_torus,
-    _sample_plane,
-    _sample_helix,
-    _sample_dumbbell,
-)
+_SURFACES = (_sphere, _cube, _cylinder, _cone, _torus, _plane, _helix, _dumbbell)
 
 
 def surface_points(class_id: int, n_points: int, rng: Rng) -> np.ndarray:
-    """Jittered surface samples in canonical orientation, not yet normalized."""
+    """Jittered surface samples in canonical orientation, not yet normalized.
+
+    The cloud is what a loop drawing one point at a time with scalar Rng
+    calls gives, bit for bit, with the same end state. Each point takes a
+    fixed number of PCG32 words, the 8 of its jitter included:
+
+        sphere 12, cube 13, cylinder 14, cone 14, plane 12, helix 10,
+        dumbbell 14, torus 10 + 4 per rejection trial.
+
+    The cube's face is randint(6), which rejects a word below 4: from the
+    first point whose face word is rejected, the state rewinds to that point
+    and scalar randint draws its face. The torus rejects tube angles, so its
+    points vary in length: it draws a speculative block, walks its accept
+    flags, rewinds to the words used and draws again if the block ran short.
+    """
     if not 0 <= class_id < NUM_CLASSES:
         raise ValueError("class_id must be in [0, %d), got %r" % (NUM_CLASSES, class_id))
-    sampler = _SAMPLERS[class_id]
-    pts = np.empty((n_points, 3))
-    for i in range(n_points):
-        pts[i] = sampler(rng) + rng.normals(3, sigma=JITTER_STD)
-    return pts
+    if isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer)) or n_points < 0:
+        raise ValueError("n_points must be a non-negative integer, got %r" % (n_points,))
+    if n_points == 0:
+        return np.empty((0, 3))
+    surface, jitter = _SURFACES[class_id](rng, int(n_points))
+    return surface + _jitter(jitter)
 
 
 def generate_shape(class_id: int, n_points: int, seed: int) -> LabeledCloud:

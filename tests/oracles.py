@@ -4,9 +4,12 @@ Most of it is pure Python over float lists, summed with math.fsum. Nothing
 there is shared with the library's numpy code paths, so agreement between
 the two is meaningful.
 
-The last section is different: the per-op graph the classifier used to be
-built from (affine, relu, reduce_max as separate nodes, one cloud at a
-time). model.forward_nodes must match it bit for bit, values and gradients.
+The last two sections are different. The MiniShapes samplers draw one
+point at a time with scalar Rng calls; pointcloud.surface_points must match
+them bit for bit, clouds and end states. The per-op graph is the one the
+classifier used to be built from (affine, relu, reduce_max as separate
+nodes, one cloud at a time); model.forward_nodes must match it bit for bit,
+values and gradients.
 """
 
 import math
@@ -15,6 +18,7 @@ import numpy as np
 
 from jgekd import numerics as ng
 from jgekd.numerics import Node, ShapeError
+from jgekd.pointcloud import JITTER_STD
 
 LOG_FLOOR = 1e-12
 
@@ -174,6 +178,108 @@ def random_prob_vector(rng, n):
     x = [-math.log(1.0 - rng.random()) for _ in range(n)]
     s = math.fsum(x)
     return [v / s for v in x]
+
+
+# MiniShapes surface samplers: one point per call, one scalar draw at a time.
+
+
+def _sample_sphere(rng):
+    return rng.unit_vector()
+
+
+def _sample_cube(rng):
+    face = rng.randint(6)
+    u = rng.uniform(-0.5, 0.5)
+    v = rng.uniform(-0.5, 0.5)
+    p = np.empty(3)
+    axis = face >> 1
+    p[axis] = 0.5 if face & 1 == 0 else -0.5
+    p[(axis + 1) % 3] = u
+    p[(axis + 2) % 3] = v
+    return p
+
+
+_CYL_R, _CYL_H = 0.5, 2.0
+_CYL_LATERAL_FRAC = (2.0 * math.pi * _CYL_R * _CYL_H) / (
+    2.0 * math.pi * _CYL_R * _CYL_H + 2.0 * math.pi * _CYL_R ** 2
+)
+
+
+def _sample_cylinder(rng):
+    u = rng.uniform()
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    if u < _CYL_LATERAL_FRAC:
+        z = rng.uniform(-1.0, 1.0)
+        return np.array([_CYL_R * math.cos(theta), _CYL_R * math.sin(theta), z])
+    rho = _CYL_R * math.sqrt(rng.uniform())
+    z = 1.0 if u < (1.0 + _CYL_LATERAL_FRAC) / 2.0 else -1.0
+    return np.array([rho * math.cos(theta), rho * math.sin(theta), z])
+
+
+_CONE_R = 0.5
+_CONE_SLANT_AREA = math.pi * _CONE_R * math.hypot(2.0, _CONE_R)
+_CONE_LATERAL_FRAC = _CONE_SLANT_AREA / (_CONE_SLANT_AREA + math.pi * _CONE_R ** 2)
+
+
+def _sample_cone(rng):
+    u = rng.uniform()
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    if u < _CONE_LATERAL_FRAC:
+        t = math.sqrt(rng.uniform())
+        rho = _CONE_R * t
+        return np.array([rho * math.cos(theta), rho * math.sin(theta), 1.0 - 2.0 * t])
+    rho = _CONE_R * math.sqrt(rng.uniform())
+    return np.array([rho * math.cos(theta), rho * math.sin(theta), -1.0])
+
+
+_TORUS_R, _TORUS_r = 1.0, 0.4
+
+
+def _sample_torus(rng):
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    while True:
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        if rng.uniform() < (_TORUS_R + _TORUS_r * math.cos(phi)) / (_TORUS_R + _TORUS_r):
+            break
+    w = _TORUS_R + _TORUS_r * math.cos(phi)
+    return np.array([w * math.cos(theta), w * math.sin(theta), _TORUS_r * math.sin(phi)])
+
+
+def _sample_plane(rng):
+    return np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), 0.0])
+
+
+def _sample_helix(rng):
+    t = rng.uniform()
+    angle = 6.0 * math.pi * t
+    return np.array([0.7 * math.cos(angle), 0.7 * math.sin(angle), 2.0 * t - 1.0])
+
+
+def _sample_dumbbell(rng):
+    center = 0.8 if rng.uniform() < 0.5 else -0.8
+    p = rng.unit_vector() * 0.5
+    p[0] += center
+    return p
+
+
+SAMPLERS = (
+    _sample_sphere,
+    _sample_cube,
+    _sample_cylinder,
+    _sample_cone,
+    _sample_torus,
+    _sample_plane,
+    _sample_helix,
+    _sample_dumbbell,
+)
+
+
+def surface_points(class_id, n_points, rng):
+    sampler = SAMPLERS[class_id]
+    pts = np.empty((n_points, 3))
+    for i in range(n_points):
+        pts[i] = sampler(rng) + rng.normals(3, sigma=JITTER_STD)
+    return pts
 
 
 # Per-op classifier graph: one node per layer, one cloud per call.

@@ -1,7 +1,8 @@
 """Golden sha256 hashes of the artifacts that identical commands must keep
-reproducing byte for byte: a generated MiniShapes tree, the checkpoints of
-short st, skd and tkd runs, a robustness table, and the outputs of every
-evaluation corruption and of random composition.
+reproducing byte for byte: a generated MiniShapes tree, the clouds of every
+class at 8, 64 and 1024 points, the tree `jgekd gen-data` writes at its
+defaults, the checkpoints of short st, skd and tkd runs, a robustness table,
+and the outputs of every evaluation corruption and of random composition.
 
 The determinism tests elsewhere compare two runs of the same code; these
 hashes also catch drift between versions. A change that alters float
@@ -13,6 +14,7 @@ robustness hashes without any change to this code.
 """
 
 import hashlib
+import importlib.util
 import os
 
 import pytest
@@ -24,7 +26,7 @@ from jgekd.cli import EXIT_OK, main
 from jgekd.corruptions import ALL_EVAL_KINDS, MIN_SURVIVORS, apply_corruption, compose_random
 from jgekd.model import load_params, save_params
 from jgekd.numerics import Rng, split_seed
-from jgekd.pointcloud import generate_minishapes, generate_shape, load_dataset, normalize_unit_sphere
+from jgekd.pointcloud import NUM_CLASSES, generate_minishapes, generate_shape, load_dataset, normalize_unit_sphere
 
 PER_TRAIN = 4
 PER_TEST = 2
@@ -40,7 +42,14 @@ GOLDEN = {
     "corruptions": "34923571997ae3ab7637837975412782cad3665996bbb2aba2ee0a1e440674b9",
     "corruptions_1024": "b331454abea3410f1f0416430eb435b64ca2f50fa8ae5a48e073c45341baaf6b",
     "training_paths": "ab79b8f1369bde0268cea851019716558ef666025a78a0916e042631fc2c34f2",
+    "shapes_8": "0a5bc21d4e0da1dbf34678a505b684a6d64f975006a75761c8d524339b1a6584",
+    "shapes_64": "137b8852f424c100a8ab8d4be525be20abd97ddc1fbd62793be366df86b530c3",
+    "shapes_1024": "2945fdcca9fa0cbe21a4df153a5fb2862261a091041932127cac6b66a749d52b",
 }
+
+# Seeds of the per-class clouds behind the shapes_<n> hashes. 1024 points is
+# the robustness benchmark's cloud size, which the 32-point tree never reaches.
+SHAPE_SEEDS = (0, 1, 2)
 
 # (class, points, seed, scale) of the clouds the corruption hash runs on. The
 # 9- and 12-point clouds hit the MIN_SURVIVORS floor of cutout; shrunk to a
@@ -142,6 +151,33 @@ def test_robustness_table_hash(runs):
 def _update_cloud(digest, points):
     digest.update(repr(points.shape).encode())
     digest.update(np.ascontiguousarray(points, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize("n_points", [8, 64, 1024])
+def test_generated_shapes_hash(n_points):
+    digest = hashlib.sha256()
+    for class_id in range(NUM_CLASSES):
+        for seed in SHAPE_SEEDS:
+            _update_cloud(digest, generate_shape(class_id, n_points, seed).points)
+    assert digest.hexdigest() == GOLDEN["shapes_%d" % n_points]
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded by path: the benchmark pins the sha256
+    of the default gen-data tree there, and this test checks the same pin
+    without running the benchmark."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_default_gen_data_matches_benchmark_pin(tmp_path):
+    workloads = _perfbench_workloads()
+    out = tmp_path / "data"
+    assert main(["gen-data", "--out", str(out)]) == EXIT_OK
+    assert workloads.tree_hash(str(out)) == workloads.PINNED_GEN_DATA_SHA256
 
 
 def test_corruption_outputs_hash():

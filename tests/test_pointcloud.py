@@ -4,8 +4,9 @@ import struct
 import numpy as np
 import pytest
 
+import oracles
 from jgekd.model import init_params, save_params
-from jgekd.numerics import Rng
+from jgekd.numerics import _PCG_MULT, Rng
 from jgekd import pointcloud as pc
 from jgekd.pointcloud import (
     BadDimsError,
@@ -88,6 +89,96 @@ def test_generate_shape_validates():
         generate_shape(8, 64, seed=0)
     with pytest.raises(ValueError):
         generate_shape(-1, 64, seed=0)
+
+
+@pytest.mark.parametrize("n_points", [-1, 2.5, 8.0, True, False, "8", None])
+def test_surface_points_rejects_bad_counts_before_drawing(n_points):
+    rng = Rng(3)
+    state = rng.state
+    with pytest.raises(ValueError, match=repr(n_points)):
+        surface_points(pc.CLASS_NAMES.index("torus"), n_points, rng)
+    assert rng.state == state
+
+
+def test_surface_points_zero_points_draws_nothing():
+    for class_id in range(pc.NUM_CLASSES):
+        rng = Rng(3)
+        state = rng.state
+        out = surface_points(class_id, 0, rng)
+        assert out.shape == (0, 3) and out.dtype == np.float64
+        assert rng.state == state
+    assert surface_points(0, np.int64(8), Rng(3)).tobytes() == surface_points(0, 8, Rng(3)).tobytes()
+
+
+# --- block sampling against the scalar reference ---
+
+
+def _assert_matches_oracle(class_id, n_points, rng, reference):
+    """surface_points equals the one-point-at-a-time reference byte for
+    byte, and leaves the generator where the reference leaves it."""
+    got = surface_points(class_id, n_points, rng)
+    want = oracles.surface_points(class_id, n_points, reference)
+    assert got.shape == want.shape == (n_points, 3)
+    assert got.tobytes() == want.tobytes()
+    assert rng.state == reference.state
+    assert rng.next_u32() == reference.next_u32()
+
+
+@pytest.mark.parametrize("class_id", range(pc.NUM_CLASSES), ids=pc.CLASS_NAMES)
+@pytest.mark.parametrize("n_points", [0, 1, 8, 9, 64, 1024])
+def test_surface_points_matches_scalar_reference(class_id, n_points):
+    for seed in (0, 7, 0xC0FFEE):
+        _assert_matches_oracle(class_id, n_points, Rng(seed), Rng(seed))
+
+
+class _CountingRng(Rng):
+    """An Rng that counts the words its scalar draws take."""
+
+    words = 0
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.words = 0  # seeding takes two words
+
+    def next_u32(self):
+        self.words += 1
+        return super().next_u32()
+
+
+def _state_before(state, words, increment):
+    """The state that `words` next_u32 calls take to `state`."""
+    inverse = pow(_PCG_MULT, -1, 1 << 64)
+    for _ in range(words):
+        state = ((state - increment) * inverse) % (1 << 64)
+    return state
+
+
+@pytest.mark.parametrize("point", [0, 31, 63])
+@pytest.mark.parametrize("state, rejected", [(0, 2), (109, 1)])
+def test_cube_face_rejection_falls_back_to_scalar_randint(point, state, rejected):
+    # State 0 outputs word 0, which randint(6) rejects, and so does the state
+    # after it (the increment, 109); the state after 109 outputs a word that
+    # randint accepts. Put the given state under the face word of the given
+    # point: each cube point takes 13 words.
+    rng, reference, counter = Rng(0), Rng(0), _CountingRng(0)
+    rng.state = reference.state = counter.state = _state_before(state, 13 * point, rng.increment)
+    oracles.surface_points(pc.CLASS_NAMES.index("cube"), 64, counter)
+    assert counter.words == 13 * 64 + rejected
+    _assert_matches_oracle(pc.CLASS_NAMES.index("cube"), 64, rng, reference)
+
+
+# (points, seed) of torus clouds whose rejection trials outrun the first
+# speculative block: seed 73 after some of its 64 points, seed 193961 before
+# its single point (12 trials) is placed.
+_TORUS_SHORT_BLOCKS = ((64, 73), (1, 193961))
+
+
+@pytest.mark.parametrize("n_points, seed", _TORUS_SHORT_BLOCKS)
+def test_torus_redraws_when_the_speculative_block_runs_short(n_points, seed):
+    counter = _CountingRng(seed)
+    oracles.surface_points(pc.CLASS_NAMES.index("torus"), n_points, counter)
+    assert counter.words > 2 * (pc._TORUS_PAIRS * n_points + pc._TORUS_SPARE)
+    _assert_matches_oracle(pc.CLASS_NAMES.index("torus"), n_points, Rng(seed), Rng(seed))
 
 
 @pytest.mark.parametrize("seed", range(10))
