@@ -19,7 +19,6 @@ from . import training
 from .corruptions import (
     ALL_EVAL_KINDS,
     BACKGROUND_EXCLUDED_KINDS,
-    UnsupportedCorruptionError,
     corrupt_eval_set,
     parse_kind,
 )
@@ -281,13 +280,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnsupportedCorruptionError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    except (CloudFormatError, CheckpointFormatError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (OSError, CloudFormatError, CheckpointFormatError) as exc:
+        # Before ValueError: the format errors subclass it.
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_IO
     except NumericalError as exc:

@@ -103,6 +103,33 @@ def _unit53(words: np.ndarray) -> np.ndarray:
     return ((words[0::2] << 32) | words[1::2]) >> 11
 
 
+def uniform53(bits, lo=0.0, hi=1.0):
+    """Rng.uniform(lo, hi) of each 53-bit value (an int or an array)."""
+    return lo + (hi - lo) * (bits / _TWO53)
+
+
+def box_muller53(bits1: np.ndarray, bits2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Box-Muller radius r and angle theta of each pair of 53-bit values; the
+    normals are mu + sigma * r * cos(theta) and mu + sigma * r * sin(theta)."""
+    u1 = (bits1 + 1) / _TWO53  # (0, 1], keeps log finite
+    return np.sqrt(-2.0 * _math_map(math.log, u1)), 2.0 * math.pi * (bits2 / _TWO53)
+
+
+def unit_vectors53(z_bits: np.ndarray, phi_bits: np.ndarray) -> np.ndarray:
+    """Rng.unit_vector of each (z, phi) pair of 53-bit values, shape (k, 3)."""
+    z = uniform53(z_bits, -1.0, 1.0)
+    phi = uniform53(phi_bits, 0.0, 2.0 * math.pi)
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([r * _math_map(math.cos, phi), r * _math_map(math.sin, phi), z], axis=1)
+
+
+def check_count(n, name: str = "n") -> int:
+    """n as an int; a ValueError naming it unless it is an int >= 0, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError("%s must be a non-negative integer, got %r" % (name, n))
+    return int(n)
+
+
 class Rng:
     """PCG-XSH-RR 64/32 generator.
 
@@ -113,11 +140,14 @@ class Rng:
 
     The multi-value methods (uniforms, normals, randints, unit_vectors,
     permutation, sample_indices) return exactly what the matching loop of
-    scalar calls returns and leave the same state behind. From _BULK_MIN
+    scalar calls returns and leave the same state behind; a negative or
+    non-integer count raises ValueError before any draw. From _BULK_MIN
     values up they draw the words as one block (_u32_block, LCG jump-ahead
-    in numpy uint64) and finish with numpy's +, -, *, / and sqrt, which
-    round like Python floats. log, cos and sin stay math.* per value
-    (_math_map): numpy's versions may round differently in the last bit.
+    in numpy uint64) and convert them with uniform53, box_muller53 and
+    unit_vectors53, the module's one copy of that arithmetic. These use
+    numpy's +, -, *, / and sqrt, which round like Python floats; log, cos
+    and sin stay math.* per value (_math_map): numpy's versions may round
+    differently in the last bit.
     """
 
     __slots__ = ("state", "increment")
@@ -156,28 +186,20 @@ class Rng:
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         # 53 random bits, the full mantissa of a double in [0, 1).
-        u = (self.next_u64() >> 11) / _TWO53
-        return lo + (hi - lo) * u
+        return uniform53(self.next_u64() >> 11, lo, hi)
 
     def uniforms(self, n, lo=0.0, hi=1.0) -> np.ndarray:
+        n = check_count(n)
         if n < _BULK_MIN:
             return np.array([self.uniform(lo, hi) for _ in range(n)], dtype=np.float64)
-        u = _unit53(self._u32_block(2 * n)) / _TWO53
-        return lo + (hi - lo) * u
-
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        # Box-Muller, cosine branch only; no state carried between calls.
-        u1 = ((self.next_u64() >> 11) + 1) / _TWO53  # (0, 1], keeps log finite
-        u2 = (self.next_u64() >> 11) / _TWO53
-        r = math.sqrt(-2.0 * math.log(u1))
-        return mu + sigma * r * math.cos(2.0 * math.pi * u2)
+        return uniform53(_unit53(self._u32_block(2 * n)), lo, hi)
 
     def normals(self, n, mu=0.0, sigma=1.0) -> np.ndarray:
         # Pairs share one Box-Muller draw; an odd tail discards the sine leg.
+        n = check_count(n)
         out = np.empty(n, dtype=np.float64)
         if n < _BULK_MIN:
-            i = 0
-            while i < n:
+            for i in range(0, n, 2):
                 u1 = ((self.next_u64() >> 11) + 1) / _TWO53
                 u2 = (self.next_u64() >> 11) / _TWO53
                 r = math.sqrt(-2.0 * math.log(u1))
@@ -185,13 +207,9 @@ class Rng:
                 out[i] = mu + sigma * r * math.cos(theta)
                 if i + 1 < n:
                     out[i + 1] = mu + sigma * r * math.sin(theta)
-                i += 2
             return out
         bits = _unit53(self._u32_block(4 * ((n + 1) // 2)))
-        u1 = (bits[0::2] + 1) / _TWO53
-        u2 = bits[1::2] / _TWO53
-        r = np.sqrt(-2.0 * _math_map(math.log, u1))
-        theta = 2.0 * math.pi * u2
+        r, theta = box_muller53(bits[0::2], bits[1::2])
         out[0::2] = mu + sigma * r * _math_map(math.cos, theta)
         out[1::2] = (mu + sigma * r * _math_map(math.sin, theta))[: n // 2]
         return out
@@ -234,13 +252,11 @@ class Rng:
 
     def unit_vectors(self, k: int) -> np.ndarray:
         """np.stack of k unit_vector() calls, shape (k, 3)."""
+        k = check_count(k, "k")
         if k < _BULK_MIN:
             return np.array([self.unit_vector() for _ in range(k)]).reshape(k, 3)
-        u = _unit53(self._u32_block(4 * k)) / _TWO53
-        z = -1.0 + 2.0 * u[0::2]  # uniform(-1.0, 1.0)
-        phi = 2.0 * math.pi * u[1::2]  # uniform(0.0, 2.0 * math.pi)
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        return np.stack([r * _math_map(math.cos, phi), r * _math_map(math.sin, phi), z], axis=1)
+        bits = _unit53(self._u32_block(4 * k))
+        return unit_vectors53(bits[0::2], bits[1::2])
 
     def ball_point(self) -> np.ndarray:
         """Uniform sample from the unit ball."""
@@ -248,7 +264,7 @@ class Rng:
         return direction * self.uniform() ** (1.0 / 3.0)
 
     def permutation(self, n: int) -> list[int]:
-        idx = list(range(n))
+        idx = list(range(check_count(n)))
         for i, j in zip(range(n - 1, 0, -1), self.randints(range(n, 1, -1))):
             idx[i], idx[j] = idx[j], idx[i]
         return idx
@@ -287,14 +303,9 @@ class Node:
         return "Node(shape=%s)" % (self.value.shape,)
 
 
-def _asarray(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 def leaf(value) -> Node:
     """Wrap a tensor as a graph input. Gradients accumulate here."""
-    return Node(_asarray(value))
+    return Node(np.asarray(value, dtype=np.float64))
 
 
 def detach(node: Node) -> Node:
@@ -468,7 +479,7 @@ def grad_check(f, x, h: float = 1e-6) -> float:
     """
     if h <= 0.0:
         raise ValueError("grad_check: h must be positive")
-    x0 = _asarray(x).copy()
+    x0 = np.array(x, dtype=np.float64)
     probe = leaf(x0)
     root = f(probe)
     if root.value.ndim != 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _TWO53, Rng, _math_map, _unit53, split_seed
+from .numerics import Rng, _math_map, _unit53, box_muller53, check_count, split_seed, uniform53, unit_vectors53
 
 CLASS_NAMES = ("sphere", "cube", "cylinder", "cone", "torus", "plane", "helix", "dumbbell")
 NUM_CLASSES = len(CLASS_NAMES)
@@ -96,12 +96,9 @@ def normalize_unit_sphere(points) -> np.ndarray:
 # at a time with scalar Rng calls, so clouds and end states match that loop
 # bit for bit. Each point is its surface sample followed by
 # normals(3, sigma=JITTER_STD), whose 8 words are 4 of the 53-bit values
-# below (_unit53 of a word pair, as Rng.next_u64 >> 11 gives it).
-
-
-def _uniform(bits, lo=0.0, hi=1.0):
-    """Rng.uniform(lo, hi) of each 53-bit value."""
-    return lo + (hi - lo) * (bits / _TWO53)
+# below (_unit53 of a word pair, as Rng.next_u64 >> 11 gives it). The
+# numerics conversions (uniform53, unit_vectors53, box_muller53) turn them
+# into floats exactly as the Rng methods do.
 
 
 def _values(rng, n, k) -> np.ndarray:
@@ -114,9 +111,7 @@ def _jitter(bits) -> np.ndarray:
     cosine and sine legs of the first Box-Muller pair, then the cosine leg
     of the second."""
     n = bits.shape[0]
-    u1 = (bits[:, 0::2].ravel() + 1) / _TWO53
-    theta = 2.0 * math.pi * (bits[:, 1::2].ravel() / _TWO53)
-    r = np.sqrt(-2.0 * _math_map(math.log, u1))
+    r, theta = box_muller53(bits[:, 0::2].ravel(), bits[:, 1::2].ravel())
     out = np.empty((n, 3))
     # 0.0 + is normals' mu, which turns a -0.0 leg into 0.0.
     out[:, 0::2] = (0.0 + JITTER_STD * r * _math_map(math.cos, theta)).reshape(n, 2)
@@ -128,20 +123,13 @@ def _ring(rho, theta, z) -> np.ndarray:
     return np.stack([rho * _math_map(math.cos, theta), rho * _math_map(math.sin, theta), z], axis=1)
 
 
-def _unit_vectors(z_bits, phi_bits) -> np.ndarray:
-    """Rng.unit_vector of each (z, phi) pair of values."""
-    z = _uniform(z_bits, -1.0, 1.0)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return _ring(r, _uniform(phi_bits, 0.0, 2.0 * math.pi), z)
-
-
 # Each class below maps (rng, n) to the n surface samples and the (n, 4)
 # values of their jitter.
 
 
 def _sphere(rng, n):
     v = _values(rng, n, 6)
-    return _unit_vectors(v[:, 0], v[:, 1]), v[:, 2:]
+    return unit_vectors53(v[:, 0], v[:, 1]), v[:, 2:]
 
 
 # randint(6) rejects words below this threshold and draws again.
@@ -150,31 +138,21 @@ _CUBE_REJECT = ((1 << 32) - 6) % 6
 
 def _cube(rng, n):
     # Faces are equal-area, so a uniform face pick keeps the surface uniform.
-    faces, rest = [], []
-    while n:
-        start = rng.state
-        words = rng._u32_block(13 * n).reshape(n, 13)
-        rejected = np.flatnonzero(words[:, 0] < _CUBE_REJECT)
-        k = int(rejected[0]) if rejected.size else n
-        faces.append(words[:k, 0] % 6)
-        rest.append(words[:k, 1:])
-        if k < n:
-            # Rewind to point k, let scalar randint(6) draw its face, then
-            # its other 12 words; the next block starts after them.
-            rng.state = start
-            rng._u32_block(13 * k)
-            faces.append(np.array([rng.randint(6)], dtype=np.uint64))
-            rest.append(rng._u32_block(12).reshape(1, 12))
-            k += 1
-        n -= k
-    face = np.concatenate(faces)
-    v = _unit53(np.concatenate(rest).ravel()).reshape(face.size, 6)
+    start = rng.state
+    words = rng._u32_block(13 * n).reshape(n, 13)
+    if np.any(words[:, 0] < _CUBE_REJECT):
+        # Odds 4 in 2**32 per point: redraw the cloud from its start one
+        # point at a time, face by scalar randint(6), then its 12 words.
+        rng.state = start
+        words = np.array([[rng.randint(6), *rng._u32_block(12).tolist()] for _ in range(n)], dtype=np.uint64)
+    face = words[:, 0] % 6
+    v = _unit53(words[:, 1:].ravel()).reshape(n, 6)
     axis = (face >> 1).astype(np.intp)
-    rows = np.arange(face.size)
-    p = np.empty((face.size, 3))
+    rows = np.arange(n)
+    p = np.empty((n, 3))
     p[rows, axis] = np.where(face & 1 == 0, 0.5, -0.5)
-    p[rows, (axis + 1) % 3] = _uniform(v[:, 0], -0.5, 0.5)
-    p[rows, (axis + 2) % 3] = _uniform(v[:, 1], -0.5, 0.5)
+    p[rows, (axis + 1) % 3] = uniform53(v[:, 0], -0.5, 0.5)
+    p[rows, (axis + 2) % 3] = uniform53(v[:, 1], -0.5, 0.5)
     return p, v[:, 2:]
 
 
@@ -186,12 +164,12 @@ _CYL_LATERAL_FRAC = (2.0 * math.pi * _CYL_R * _CYL_H) / (
 
 def _cylinder(rng, n):
     v = _values(rng, n, 7)
-    u = _uniform(v[:, 0])
+    u = uniform53(v[:, 0])
     lateral = u < _CYL_LATERAL_FRAC
-    rho = np.where(lateral, _CYL_R, _CYL_R * np.sqrt(_uniform(v[:, 2])))
+    rho = np.where(lateral, _CYL_R, _CYL_R * np.sqrt(uniform53(v[:, 2])))
     cap = np.where(u < (1.0 + _CYL_LATERAL_FRAC) / 2.0, 1.0, -1.0)
-    z = np.where(lateral, _uniform(v[:, 2], -1.0, 1.0), cap)
-    return _ring(rho, _uniform(v[:, 1], 0.0, 2.0 * math.pi), z), v[:, 3:]
+    z = np.where(lateral, uniform53(v[:, 2], -1.0, 1.0), cap)
+    return _ring(rho, uniform53(v[:, 1], 0.0, 2.0 * math.pi), z), v[:, 3:]
 
 
 _CONE_R = 0.5
@@ -203,9 +181,9 @@ def _cone(rng, n):
     # Apex at (0,0,1), base disc of radius 0.5 at z=-1. On the slant, area
     # grows quadratically from the apex.
     v = _values(rng, n, 7)
-    t = np.sqrt(_uniform(v[:, 2]))
-    z = np.where(_uniform(v[:, 0]) < _CONE_LATERAL_FRAC, 1.0 - 2.0 * t, -1.0)
-    return _ring(_CONE_R * t, _uniform(v[:, 1], 0.0, 2.0 * math.pi), z), v[:, 3:]
+    t = np.sqrt(uniform53(v[:, 2]))
+    z = np.where(uniform53(v[:, 0]) < _CONE_LATERAL_FRAC, 1.0 - 2.0 * t, -1.0)
+    return _ring(_CONE_R * t, uniform53(v[:, 1], 0.0, 2.0 * math.pi), z), v[:, 3:]
 
 
 _TORUS_R, _TORUS_r = 1.0, 0.4
@@ -227,10 +205,10 @@ def _torus(rng, n):
         start = rng.state
         pairs = _TORUS_PAIRS * n + spare
         bits = _unit53(rng._u32_block(2 * pairs))
-        angle = _uniform(bits, 0.0, 2.0 * math.pi)
+        angle = uniform53(bits, 0.0, 2.0 * math.pi)
         cos_angle = _math_map(math.cos, angle)
         accept = np.zeros(pairs, dtype=bool)
-        accept[:-1] = _uniform(bits[1:]) < (_TORUS_R + _TORUS_r * cos_angle[:-1]) / (_TORUS_R + _TORUS_r)
+        accept[:-1] = uniform53(bits[1:]) < (_TORUS_R + _TORUS_r * cos_angle[:-1]) / (_TORUS_R + _TORUS_r)
         # first[j]: the first accepted trial among j, j + 2, j + 4, ...;
         # pairs when the block holds none.
         first = np.where(accept, np.arange(pairs), pairs)
@@ -255,21 +233,21 @@ def _torus(rng, n):
 
 def _plane(rng, n):
     v = _values(rng, n, 6)
-    xy = _uniform(v[:, :2], -1.0, 1.0)
+    xy = uniform53(v[:, :2], -1.0, 1.0)
     return np.stack([xy[:, 0], xy[:, 1], np.zeros(n)], axis=1), v[:, 2:]
 
 
 def _helix(rng, n):
     v = _values(rng, n, 5)
-    t = _uniform(v[:, 0])
+    t = uniform53(v[:, 0])
     angle = 6.0 * math.pi * t  # three turns
     return _ring(0.7, angle, 2.0 * t - 1.0), v[:, 1:]
 
 
 def _dumbbell(rng, n):
     v = _values(rng, n, 7)
-    p = _unit_vectors(v[:, 1], v[:, 2]) * 0.5
-    p[:, 0] += np.where(_uniform(v[:, 0]) < 0.5, 0.8, -0.8)
+    p = unit_vectors53(v[:, 1], v[:, 2]) * 0.5
+    p[:, 0] += np.where(uniform53(v[:, 0]) < 0.5, 0.8, -0.8)
     return p, v[:, 3:]
 
 
@@ -286,19 +264,19 @@ def surface_points(class_id: int, n_points: int, rng: Rng) -> np.ndarray:
         sphere 12, cube 13, cylinder 14, cone 14, plane 12, helix 10,
         dumbbell 14, torus 10 + 4 per rejection trial.
 
-    The cube's face is randint(6), which rejects a word below 4: from the
-    first point whose face word is rejected, the state rewinds to that point
-    and scalar randint draws its face. The torus rejects tube angles, so its
-    points vary in length: it draws a speculative block, walks its accept
-    flags, rewinds to the words used and draws again if the block ran short.
+    The cube's face is randint(6), which rejects a word below 4: if any face
+    word of the block is rejected, the state rewinds to the cloud's start and
+    the cloud is drawn again one point at a time. The torus rejects tube
+    angles, so its points vary in length: it draws a speculative block, walks
+    its accept flags, rewinds to the words used and draws again if the block
+    ran short.
     """
     if not 0 <= class_id < NUM_CLASSES:
         raise ValueError("class_id must be in [0, %d), got %r" % (NUM_CLASSES, class_id))
-    if isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer)) or n_points < 0:
-        raise ValueError("n_points must be a non-negative integer, got %r" % (n_points,))
+    n_points = check_count(n_points, "n_points")
     if n_points == 0:
         return np.empty((0, 3))
-    surface, jitter = _SURFACES[class_id](rng, int(n_points))
+    surface, jitter = _SURFACES[class_id](rng, n_points)
     return surface + _jitter(jitter)
 
 
@@ -358,6 +336,8 @@ def write_atomic(path, data: bytes) -> None:
 
 def save_cloud(path, points) -> None:
     pts = check_cloud(points)
+    if np.abs(pts).max() > np.finfo(np.float32).max:  # would be written as inf
+        raise ValueError("cloud has coordinates beyond the float32 range")
     write_atomic(path, _HEADER.pack(_MAGIC, pts.shape[0], 3) + pts.astype("<f4").tobytes())
 
 

@@ -5,8 +5,9 @@ there is shared with the library's numpy code paths, so agreement between
 the two is meaningful.
 
 The last two sections are different. The MiniShapes samplers draw one
-point at a time with scalar Rng calls; pointcloud.surface_points must match
-them bit for bit, clouds and end states. The per-op graph is the one the
+point at a time through next_u32 and the scalar draw loops here, sharing no
+conversion code with the library; pointcloud.surface_points must match them
+bit for bit, clouds and end states. The per-op graph is the one the
 classifier used to be built from (affine, relu, reduce_max as separate
 nodes, one cloud at a time); model.forward_nodes must match it bit for bit,
 values and gradients.
@@ -116,7 +117,7 @@ def _bits53(rng):
     return ((hi << 32) | rng.next_u32()) >> 11
 
 
-def _uniform(rng, lo, hi):
+def _uniform(rng, lo=0.0, hi=1.0):
     return lo + (hi - lo) * (_bits53(rng) / 2.0**53)
 
 
@@ -183,14 +184,18 @@ def random_prob_vector(rng, n):
 # MiniShapes surface samplers: one point per call, one scalar draw at a time.
 
 
+def _unit_vector(rng):
+    return np.array(unit_vectors(rng, 1)[0])
+
+
 def _sample_sphere(rng):
-    return rng.unit_vector()
+    return _unit_vector(rng)
 
 
 def _sample_cube(rng):
-    face = rng.randint(6)
-    u = rng.uniform(-0.5, 0.5)
-    v = rng.uniform(-0.5, 0.5)
+    face = randints(rng, [6])[0]
+    u = _uniform(rng, -0.5, 0.5)
+    v = _uniform(rng, -0.5, 0.5)
     p = np.empty(3)
     axis = face >> 1
     p[axis] = 0.5 if face & 1 == 0 else -0.5
@@ -206,12 +211,12 @@ _CYL_LATERAL_FRAC = (2.0 * math.pi * _CYL_R * _CYL_H) / (
 
 
 def _sample_cylinder(rng):
-    u = rng.uniform()
-    theta = rng.uniform(0.0, 2.0 * math.pi)
+    u = _uniform(rng)
+    theta = _uniform(rng, 0.0, 2.0 * math.pi)
     if u < _CYL_LATERAL_FRAC:
-        z = rng.uniform(-1.0, 1.0)
+        z = _uniform(rng, -1.0, 1.0)
         return np.array([_CYL_R * math.cos(theta), _CYL_R * math.sin(theta), z])
-    rho = _CYL_R * math.sqrt(rng.uniform())
+    rho = _CYL_R * math.sqrt(_uniform(rng))
     z = 1.0 if u < (1.0 + _CYL_LATERAL_FRAC) / 2.0 else -1.0
     return np.array([rho * math.cos(theta), rho * math.sin(theta), z])
 
@@ -222,13 +227,13 @@ _CONE_LATERAL_FRAC = _CONE_SLANT_AREA / (_CONE_SLANT_AREA + math.pi * _CONE_R **
 
 
 def _sample_cone(rng):
-    u = rng.uniform()
-    theta = rng.uniform(0.0, 2.0 * math.pi)
+    u = _uniform(rng)
+    theta = _uniform(rng, 0.0, 2.0 * math.pi)
     if u < _CONE_LATERAL_FRAC:
-        t = math.sqrt(rng.uniform())
+        t = math.sqrt(_uniform(rng))
         rho = _CONE_R * t
         return np.array([rho * math.cos(theta), rho * math.sin(theta), 1.0 - 2.0 * t])
-    rho = _CONE_R * math.sqrt(rng.uniform())
+    rho = _CONE_R * math.sqrt(_uniform(rng))
     return np.array([rho * math.cos(theta), rho * math.sin(theta), -1.0])
 
 
@@ -236,28 +241,28 @@ _TORUS_R, _TORUS_r = 1.0, 0.4
 
 
 def _sample_torus(rng):
-    theta = rng.uniform(0.0, 2.0 * math.pi)
+    theta = _uniform(rng, 0.0, 2.0 * math.pi)
     while True:
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        if rng.uniform() < (_TORUS_R + _TORUS_r * math.cos(phi)) / (_TORUS_R + _TORUS_r):
+        phi = _uniform(rng, 0.0, 2.0 * math.pi)
+        if _uniform(rng) < (_TORUS_R + _TORUS_r * math.cos(phi)) / (_TORUS_R + _TORUS_r):
             break
     w = _TORUS_R + _TORUS_r * math.cos(phi)
     return np.array([w * math.cos(theta), w * math.sin(theta), _TORUS_r * math.sin(phi)])
 
 
 def _sample_plane(rng):
-    return np.array([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), 0.0])
+    return np.array([_uniform(rng, -1.0, 1.0), _uniform(rng, -1.0, 1.0), 0.0])
 
 
 def _sample_helix(rng):
-    t = rng.uniform()
+    t = _uniform(rng)
     angle = 6.0 * math.pi * t
     return np.array([0.7 * math.cos(angle), 0.7 * math.sin(angle), 2.0 * t - 1.0])
 
 
 def _sample_dumbbell(rng):
-    center = 0.8 if rng.uniform() < 0.5 else -0.8
-    p = rng.unit_vector() * 0.5
+    center = 0.8 if _uniform(rng) < 0.5 else -0.8
+    p = _unit_vector(rng) * 0.5
     p[0] += center
     return p
 
@@ -278,7 +283,7 @@ def surface_points(class_id, n_points, rng):
     sampler = SAMPLERS[class_id]
     pts = np.empty((n_points, 3))
     for i in range(n_points):
-        pts[i] = sampler(rng) + rng.normals(3, sigma=JITTER_STD)
+        pts[i] = sampler(rng) + normals(rng, 3, sigma=JITTER_STD)
     return pts
 
 

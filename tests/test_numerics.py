@@ -98,16 +98,6 @@ def test_normals_even_count_consumes_pairs():
     assert np.all(np.isfinite(pair))
 
 
-def test_normal_scalar_discards_sine_branch():
-    # scalar draws burn a full pair each, so two scalars differ from normals(2)
-    rng = Rng(17)
-    a = rng.normal()
-    b = rng.normal()
-    both = Rng(17).normals(2)
-    assert a == both[0]
-    assert b != both[1]
-
-
 def test_randint_bounds_and_determinism():
     rng = Rng(23)
     vals = [rng.randint(10) for _ in range(3000)]
@@ -235,6 +225,16 @@ def test_block_methods_equal_scalar_loops(name, size):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
         _same_stream_after(a, b)
+
+
+@pytest.mark.parametrize("name", ["uniforms", "normals", "unit_vectors", "permutation"])
+@pytest.mark.parametrize("count", [-1, -20, -(ng._BULK_MIN + 1)])
+def test_negative_counts_raise_before_drawing(name, count):
+    rng = Rng(5)
+    state = rng.state
+    with pytest.raises(ValueError, match=repr(count)):
+        getattr(rng, name)(count)
+    assert rng.state == state
 
 
 def test_randints_rejection_keeps_the_stream():

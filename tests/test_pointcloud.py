@@ -281,6 +281,17 @@ def test_save_cloud_rejects_nonfinite(tmp_path):
         save_cloud(tmp_path / "c.pcb", np.array([[np.inf, 0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("x", [1e39, -1e39, 3.5e38])
+def test_save_cloud_rejects_coordinates_beyond_float32(tmp_path, x):
+    # The float32 cast would turn them into infinities that load_cloud
+    # rejects; nothing may be written, not even a temp file.
+    with pytest.raises(ValueError, match="float32"):
+        save_cloud(tmp_path / "c.pcb", [[x, 0.0, 0.0]] * 3)
+    assert os.listdir(tmp_path) == []
+    save_cloud(tmp_path / "c.pcb", [[3.4e38, 0.0, 0.0]] * 3)
+    assert load_cloud(tmp_path / "c.pcb")[0, 0] == np.float32(3.4e38)
+
+
 @pytest.mark.parametrize(
     "write",
     [
