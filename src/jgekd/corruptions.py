@@ -280,10 +280,6 @@ def _cutout(pts, s, rng):
     return _thin(pts, s, rng, 0.15, lambda near, rng: near)
 
 
-def _identity(pts, s, rng):
-    return pts.copy()
-
-
 _APPLY = {
     K.ROTATION: _rotation,
     K.SHEAR: _shear,
@@ -298,23 +294,18 @@ _APPLY = {
     K.DENSITY_INC: _density_inc,
     K.DENSITY_DEC: _density_dec,
     K.CUTOUT: _cutout,
-    K.IDENTITY: _identity,
 }
 
 
 def apply_corruption(points, kind, severity, rng: Rng) -> np.ndarray:
-    """Apply one corruption at the given severity, consuming draws from rng.
+    """Apply one corruption at severity 1..5, consuming draws from rng.
 
-    Identity takes severity 0 and copies the cloud; every real kind takes
-    severity 1..5.
+    IDENTITY only marks an empty CorruptionSpec slot and raises ValueError.
     """
     kind = parse_kind(kind)
     if kind is K.IDENTITY:
-        if severity != 0:
-            raise ValueError("identity carries severity 0, got %r" % (severity,))
-        s = 0
-    else:
-        s = _check_severity(severity)
+        raise ValueError("identity marks an empty slot and cannot be applied")
+    s = _check_severity(severity)
     return _APPLY[kind](check_cloud(points), s, rng)
 
 
@@ -329,30 +320,21 @@ def compose_random(
     The transformation slot always fires, uniformly over its 5 kinds. The
     noise and density slots each fire with the given probability (their coin
     is always drawn, so streams stay aligned across probability settings),
-    with kinds uniform over the composable members of the family and
-    severities uniform over 1..5 per fired slot.
+    with kinds uniform over the composable members of the family. Each fired
+    slot draws its kind, then its severity uniform over 1..5, then applies.
     """
     out = np.asarray(points, dtype=np.float64)
-
-    t_kind = TRANSFORM_KINDS[rng.randint(len(TRANSFORM_KINDS))]
-    t_sev = 1 + rng.randint(5)
-    out = apply_corruption(out, t_kind, t_sev, rng)
-
-    noise_slot = (K.IDENTITY, 0)
-    if rng.uniform() < noise_prob:
-        n_kind = COMPOSABLE_NOISE_KINDS[rng.randint(len(COMPOSABLE_NOISE_KINDS))]
-        n_sev = 1 + rng.randint(5)
-        out = apply_corruption(out, n_kind, n_sev, rng)
-        noise_slot = (n_kind, n_sev)
-
-    density_slot = (K.IDENTITY, 0)
-    if rng.uniform() < density_prob:
-        d_kind = DENSITY_KINDS[rng.randint(len(DENSITY_KINDS))]
-        d_sev = 1 + rng.randint(5)
-        out = apply_corruption(out, d_kind, d_sev, rng)
-        density_slot = (d_kind, d_sev)
-
-    return out, CorruptionSpec((t_kind, t_sev), noise_slot, density_slot)
+    slots = []
+    # The transformation slot draws no coin.
+    for family, prob in ((TRANSFORM_KINDS, None), (COMPOSABLE_NOISE_KINDS, noise_prob), (DENSITY_KINDS, density_prob)):
+        if prob is not None and not rng.uniform() < prob:
+            slots.append((K.IDENTITY, 0))
+            continue
+        kind = family[rng.randint(len(family))]
+        severity = 1 + rng.randint(5)
+        out = apply_corruption(out, kind, severity, rng)
+        slots.append((kind, severity))
+    return out, CorruptionSpec(*slots)
 
 
 def _cell_slot(kind: CorruptionKind, severity: int) -> int:

@@ -45,9 +45,6 @@ class ModelParams:
     def blocks(self) -> dict[str, np.ndarray]:
         return {key: getattr(self, key) for key in PARAM_KEYS}
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(*(getattr(self, key).copy() for key in PARAM_KEYS))
-
 
 @dataclass
 class ForwardOutput:
@@ -131,9 +128,8 @@ def _pool(points: Node, offsets, leaves, values, per_cloud, batched) -> Node:
 
     Every matmul over a cloud's points keeps that cloud's own shape: one
     taller product over the stacked clouds rounds differently, and so do
-    segment sums by np.add.reduceat. Only each cloud's first layer is kept;
-    backward recomputes the second to find the pool's first argmax, which
-    an eval forward never needs.
+    segment sums by np.add.reduceat. Each cloud's two layer activations are
+    kept for backward, which finds the pool's first argmax in the second.
     """
     x = points.value
     w1, b1, w2, b2 = (values[key] for key in _POOL_KEYS)
@@ -142,15 +138,15 @@ def _pool(points: Node, offsets, leaves, values, per_cloud, batched) -> Node:
     embedding = np.empty((len(segments), w2.shape[1]))
     for s, (lo, hi) in enumerate(segments):
         h1 = np.maximum(x[lo:hi] @ w1 + b1, 0.0)
-        embedding[s] = np.maximum(h1 @ w2 + b2, 0.0).max(axis=0)
-        kept.append(h1)
+        h2 = np.maximum(h1 @ w2 + b2, 0.0)
+        embedding[s] = h2.max(axis=0)
+        kept.append((h1, h2))
 
     def push(g):
         g = g.reshape(embedding.shape)
         grads = {key: np.empty((len(segments),) + values[key].shape) for key in _POOL_KEYS}
         for s, (lo, hi) in enumerate(segments):
-            h1 = kept[s]
-            h2 = np.maximum(h1 @ w2 + b2, 0.0)
+            h1, h2 = kept[s]
             # np.argmax takes the first maximum, so ties go to the lowest point.
             scatter = np.zeros_like(h2)
             scatter[np.argmax(h2, axis=0), np.arange(h2.shape[1])] = g[s]

@@ -78,8 +78,12 @@ def _lcg_jump_tables(size: int) -> tuple[np.ndarray, np.ndarray]:
 _BLOCK = 4096
 _JUMP_A, _JUMP_G = _lcg_jump_tables(_BLOCK)
 
-# Requests for fewer values than this keep the scalar loop: below it numpy's
-# per-call overhead costs more than the Python draws it replaces.
+# normals, randints and unit_vectors keep a scalar loop below this many
+# values, because corruption makes many such small draws: one 800-sample skd
+# epoch on criterion 9's data makes about 475 normals, 545 randints and 103
+# unit_vectors calls below 16 values, and at 3 values the block path costs
+# 2.5-5x more per call. No workload asks uniforms for fewer than 16 values,
+# so it always draws a block.
 _BULK_MIN = 16
 
 
@@ -94,7 +98,7 @@ def _math_map(fn, x: np.ndarray) -> np.ndarray:
     """fn (math.log, cos or sin) per element. np.log, np.cos and np.sin may
     round differently from math.* in the last bit, which would change every
     seeded result."""
-    return np.fromiter(map(fn, x.tolist()), np.float64, x.size)
+    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 def _unit53(words: np.ndarray) -> np.ndarray:
@@ -108,11 +112,18 @@ def uniform53(bits, lo=0.0, hi=1.0):
     return lo + (hi - lo) * (bits / _TWO53)
 
 
-def box_muller53(bits1: np.ndarray, bits2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Box-Muller radius r and angle theta of each pair of 53-bit values; the
-    normals are mu + sigma * r * cos(theta) and mu + sigma * r * sin(theta)."""
-    u1 = (bits1 + 1) / _TWO53  # (0, 1], keeps log finite
-    return np.sqrt(-2.0 * _math_map(math.log, u1)), 2.0 * math.pi * (bits2 / _TWO53)
+def normals53(bits: np.ndarray, n: int, mu=0.0, sigma=1.0) -> np.ndarray:
+    """Rng.normals(n, mu, sigma) of the Box-Muller pairs (u1, u2) of 53-bit
+    values along bits' last axis, shape bits.shape[:-1] + (n,): each pair
+    gives its cosine leg, then its sine leg; an odd n drops the last sine
+    leg."""
+    u1 = (bits[..., 0::2] + 1) / _TWO53  # (0, 1], keeps log finite
+    r = np.sqrt(-2.0 * _math_map(math.log, u1))
+    theta = 2.0 * math.pi * (bits[..., 1::2] / _TWO53)
+    out = np.empty(bits.shape[:-1] + (n,))
+    out[..., 0::2] = mu + sigma * r * _math_map(math.cos, theta)
+    out[..., 1::2] = mu + sigma * r[..., : n // 2] * _math_map(math.sin, theta[..., : n // 2])
+    return out
 
 
 def unit_vectors53(z_bits: np.ndarray, phi_bits: np.ndarray) -> np.ndarray:
@@ -123,10 +134,10 @@ def unit_vectors53(z_bits: np.ndarray, phi_bits: np.ndarray) -> np.ndarray:
     return np.stack([r * _math_map(math.cos, phi), r * _math_map(math.sin, phi), z], axis=1)
 
 
-def check_count(n, name: str = "n") -> int:
-    """n as an int; a ValueError naming it unless it is an int >= 0, not a bool."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError("%s must be a non-negative integer, got %r" % (name, n))
+def check_count(n, name: str = "n", lo: int = 0, hi: float = math.inf) -> int:
+    """n as an int; a ValueError naming it unless it is an int in lo..hi, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not lo <= n <= hi:
+        raise ValueError("%s must be an integer in %d..%s, got %r" % (name, lo, hi, n))
     return int(n)
 
 
@@ -141,13 +152,14 @@ class Rng:
     The multi-value methods (uniforms, normals, randints, unit_vectors,
     permutation, sample_indices) return exactly what the matching loop of
     scalar calls returns and leave the same state behind; a negative or
-    non-integer count raises ValueError before any draw. From _BULK_MIN
-    values up they draw the words as one block (_u32_block, LCG jump-ahead
-    in numpy uint64) and convert them with uniform53, box_muller53 and
-    unit_vectors53, the module's one copy of that arithmetic. These use
-    numpy's +, -, *, / and sqrt, which round like Python floats; log, cos
-    and sin stay math.* per value (_math_map): numpy's versions may round
-    differently in the last bit.
+    non-integer count, modulus or k (a float or a bool) raises ValueError
+    before any draw. uniforms always, and the others from _BULK_MIN values
+    up, draw the words as one block (_u32_block, LCG jump-ahead in numpy
+    uint64) and convert them with uniform53, normals53 and unit_vectors53,
+    the module's one copy of that arithmetic. These use numpy's +, -, *, /
+    and sqrt, which round like Python floats; log, cos and sin stay math.*
+    per value (_math_map): numpy's versions may round differently in the
+    last bit.
     """
 
     __slots__ = ("state", "increment")
@@ -189,35 +201,28 @@ class Rng:
         return uniform53(self.next_u64() >> 11, lo, hi)
 
     def uniforms(self, n, lo=0.0, hi=1.0) -> np.ndarray:
-        n = check_count(n)
-        if n < _BULK_MIN:
-            return np.array([self.uniform(lo, hi) for _ in range(n)], dtype=np.float64)
-        return uniform53(_unit53(self._u32_block(2 * n)), lo, hi)
+        return uniform53(_unit53(self._u32_block(2 * check_count(n))), lo, hi)
 
     def normals(self, n, mu=0.0, sigma=1.0) -> np.ndarray:
         # Pairs share one Box-Muller draw; an odd tail discards the sine leg.
         n = check_count(n)
+        if n >= _BULK_MIN:
+            return normals53(_unit53(self._u32_block(4 * ((n + 1) // 2))), n, mu, sigma)
         out = np.empty(n, dtype=np.float64)
-        if n < _BULK_MIN:
-            for i in range(0, n, 2):
-                u1 = ((self.next_u64() >> 11) + 1) / _TWO53
-                u2 = (self.next_u64() >> 11) / _TWO53
-                r = math.sqrt(-2.0 * math.log(u1))
-                theta = 2.0 * math.pi * u2
-                out[i] = mu + sigma * r * math.cos(theta)
-                if i + 1 < n:
-                    out[i + 1] = mu + sigma * r * math.sin(theta)
-            return out
-        bits = _unit53(self._u32_block(4 * ((n + 1) // 2)))
-        r, theta = box_muller53(bits[0::2], bits[1::2])
-        out[0::2] = mu + sigma * r * _math_map(math.cos, theta)
-        out[1::2] = (mu + sigma * r * _math_map(math.sin, theta))[: n // 2]
+        for i in range(0, n, 2):
+            u1 = ((self.next_u64() >> 11) + 1) / _TWO53
+            u2 = (self.next_u64() >> 11) / _TWO53
+            r = math.sqrt(-2.0 * math.log(u1))
+            theta = 2.0 * math.pi * u2
+            out[i] = mu + sigma * r * math.cos(theta)
+            if i + 1 < n:
+                out[i + 1] = mu + sigma * r * math.sin(theta)
         return out
 
     def randint(self, n: int) -> int:
         """Unbiased integer in [0, n) by threshold rejection."""
-        if not 1 <= n <= 1 << 32:
-            raise ValueError("randint needs 1 <= n <= 2**32, got %d" % n)
+        if type(n) is not int or not 1 <= n <= 1 << 32:  # skip the call for a plain valid int
+            n = check_count(n, "modulus", 1, 1 << 32)
         threshold = ((1 << 32) - n) % n
         while True:
             r = self.next_u32()
@@ -225,12 +230,13 @@ class Rng:
                 return r % n
 
     def randints(self, moduli) -> list[int]:
-        """[randint(m) for m in moduli], with the same draws and end state."""
+        """[randint(m) for m in moduli], with the same draws and end state;
+        a bad modulus anywhere raises ValueError before any draw."""
         moduli = list(moduli)
+        if moduli and (set(map(type, moduli)) != {int} or not 1 <= min(moduli) <= max(moduli) <= 1 << 32):
+            moduli = [check_count(m, "modulus", 1, 1 << 32) for m in moduli]
         if len(moduli) < _BULK_MIN:
             return [self.randint(m) for m in moduli]
-        if not 1 <= min(moduli) <= max(moduli) <= 1 << 32:
-            raise ValueError("randints needs every modulus in 1..2**32")
         m = np.array(moduli, dtype=np.uint64)
         start = self.state
         words = self._u32_block(m.size)
@@ -271,8 +277,8 @@ class Rng:
 
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from [0, n), order as drawn."""
-        if not 0 <= k <= n:
-            raise ValueError("cannot draw %d distinct indices from %d" % (k, n))
+        n = check_count(n)
+        k = check_count(k, "k", 0, n)
         idx = list(range(n))
         for i, j in enumerate(self.randints(range(n, n - k, -1))):
             j += i

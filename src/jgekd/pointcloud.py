@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, _math_map, _unit53, box_muller53, check_count, split_seed, uniform53, unit_vectors53
+from .numerics import Rng, _math_map, _unit53, check_count, normals53, split_seed, uniform53, unit_vectors53
 
 CLASS_NAMES = ("sphere", "cube", "cylinder", "cone", "torus", "plane", "helix", "dumbbell")
 NUM_CLASSES = len(CLASS_NAMES)
@@ -97,26 +97,13 @@ def normalize_unit_sphere(points) -> np.ndarray:
 # bit for bit. Each point is its surface sample followed by
 # normals(3, sigma=JITTER_STD), whose 8 words are 4 of the 53-bit values
 # below (_unit53 of a word pair, as Rng.next_u64 >> 11 gives it). The
-# numerics conversions (uniform53, unit_vectors53, box_muller53) turn them
+# numerics conversions (uniform53, unit_vectors53, normals53) turn them
 # into floats exactly as the Rng methods do.
 
 
 def _values(rng, n, k) -> np.ndarray:
     """(n, k) 53-bit values, row by row, from one block of 2 * k * n words."""
     return _unit53(rng._u32_block(2 * k * n)).reshape(n, k)
-
-
-def _jitter(bits) -> np.ndarray:
-    """normals(3, sigma=JITTER_STD) of each row of bits (u1, u2, u1, u2): the
-    cosine and sine legs of the first Box-Muller pair, then the cosine leg
-    of the second."""
-    n = bits.shape[0]
-    r, theta = box_muller53(bits[:, 0::2].ravel(), bits[:, 1::2].ravel())
-    out = np.empty((n, 3))
-    # 0.0 + is normals' mu, which turns a -0.0 leg into 0.0.
-    out[:, 0::2] = (0.0 + JITTER_STD * r * _math_map(math.cos, theta)).reshape(n, 2)
-    out[:, 1] = 0.0 + JITTER_STD * r[0::2] * _math_map(math.sin, theta[0::2])
-    return out
 
 
 def _ring(rho, theta, z) -> np.ndarray:
@@ -277,7 +264,7 @@ def surface_points(class_id: int, n_points: int, rng: Rng) -> np.ndarray:
     if n_points == 0:
         return np.empty((0, 3))
     surface, jitter = _SURFACES[class_id](rng, n_points)
-    return surface + _jitter(jitter)
+    return surface + normals53(jitter, 3, sigma=JITTER_STD)
 
 
 def generate_shape(class_id: int, n_points: int, seed: int) -> LabeledCloud:
@@ -377,7 +364,7 @@ def save_manifest(directory, manifest: DatasetManifest) -> str:
     return path
 
 
-def load_manifest(manifest_path, check_files: bool = True) -> DatasetManifest:
+def load_manifest(manifest_path) -> DatasetManifest:
     directory = os.path.dirname(os.path.abspath(manifest_path))
     classes_path = os.path.join(directory, "classes.txt")
     with open(classes_path, "r", encoding="utf-8") as fh:
@@ -397,7 +384,7 @@ def load_manifest(manifest_path, check_files: bool = True) -> DatasetManifest:
                 raise ValueError("%s:%d: expected 'relpath<TAB>label'" % (manifest_path, ln))
             if not 0 <= label < len(class_names):
                 raise ValueError("%s:%d: label %d out of range" % (manifest_path, ln, label))
-            if check_files and not os.path.isfile(os.path.join(directory, relpath)):
+            if not os.path.isfile(os.path.join(directory, relpath)):
                 raise FileNotFoundError("%s:%d: missing cloud file %s" % (manifest_path, ln, relpath))
             entries.append((relpath, label))
     split = os.path.splitext(os.path.basename(manifest_path))[0]

@@ -235,13 +235,6 @@ def test_checkpoint_nonfinite(tmp_path):
         save_params(path, params)
 
 
-def test_params_copy_is_deep():
-    params = init_params(0, 8)
-    dup = params.copy()
-    dup.w1[0, 0] += 1.0
-    assert params.w1[0, 0] != dup.w1[0, 0]
-
-
 def test_param_leaves_match_blocks():
     params = init_params(0, 8)
     leaves = param_leaves(params)

@@ -129,6 +129,17 @@ def test_randint_rejects_bad_bounds():
         rng.randints([5] * 20 + [2**32 + 1])
     with pytest.raises(ValueError):
         rng.randints([5] * 20 + [0])
+    # Moduli follow check_count's integer rule on both size paths, and a bad
+    # one anywhere in the list is caught before any draw.
+    for bad in ([2.5], [True], [5] * 20 + [2.5], [5] * 20 + [True], [5, 3.0], [5, -1], [5, 0]):
+        state = rng.state
+        with pytest.raises(ValueError):
+            rng.randints(bad)
+        assert rng.state == state
+    for bad in (2.5, True, 4.0):
+        with pytest.raises(ValueError):
+            rng.randint(bad)
+        assert rng.state == state
 
 
 def test_unit_vector_has_unit_norm():
@@ -178,6 +189,12 @@ def test_sample_indices_validates():
         Rng(1).sample_indices(3, 4)
     with pytest.raises(ValueError):
         Rng(1).sample_indices(5, -1)
+    for n, k in ((5, 2.5), (5, True), (5.0, 2), (2.5, 1)):
+        rng = Rng(1)
+        state = rng.state
+        with pytest.raises(ValueError):
+            rng.sample_indices(n, k)
+        assert rng.state == state
 
 
 # --- block draws against the scalar loops in oracles ---
