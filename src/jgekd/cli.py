@@ -185,16 +185,11 @@ def _cmd_correlation(args) -> int:
     manifest, samples = load_dataset(args.data)
     matrix = training.class_correlation(params, samples, args.samples_per_class)
     os.makedirs(args.out, exist_ok=True)
-    doc = {
-        "config": {
-            "model": args.model,
-            "data": args.data,
-            "samples_per_class": args.samples_per_class,
-        },
-        "class_names": list(manifest.class_names),
-        "scores": [[float(v) for v in row] for row in matrix],
-    }
-    _write(os.path.join(args.out, "correlation.json"), json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    resolved = {"model": args.model, "data": args.data, "samples_per_class": args.samples_per_class}
+    _write(
+        os.path.join(args.out, "correlation.json"),
+        training.correlation_json(matrix, manifest.class_names, resolved),
+    )
     _write(
         os.path.join(args.out, "correlation.csv"),
         training.correlation_csv(matrix, manifest.class_names),
@@ -235,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--config", help="key=value file; flags override it")
-    p.add_argument("--strategy", choices=("st", "skd", "tkd"))
+    p.add_argument("--strategy", choices=training.STRATEGIES)
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float, dest="learning_rate", metavar="LR")
     p.add_argument("--alpha", type=float)

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import Rng, split_seed
+from .numerics import Rng, check_count, split_seed
 from .pointcloud import LabeledCloud, DatasetManifest, check_cloud, load_dataset, save_cloud, save_manifest
 
 MIN_SURVIVORS = 8
@@ -84,10 +84,7 @@ def parse_kind(kind) -> CorruptionKind:
 
 
 def _check_severity(severity) -> int:
-    s = int(severity)
-    if s != severity or not 1 <= s <= 5:
-        raise ValueError("severity must be an integer in 1..5, got %r" % (severity,))
-    return s
+    return check_count(severity, "severity", 1, 5)
 
 
 @dataclass(frozen=True)
@@ -113,8 +110,7 @@ class CorruptionSpec:
         if kind is K.IDENTITY:
             if not allow_identity:
                 raise ValueError("%s slot cannot be identity" % name)
-            if severity != 0:
-                raise ValueError("identity %s slot must carry severity 0" % name)
+            check_count(severity, "identity %s slot severity" % name, 0, 0)
             return
         if kind not in family:
             raise ValueError("%s slot cannot hold %s" % (name, kind.value))

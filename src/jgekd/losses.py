@@ -82,12 +82,6 @@ def smooth_labels(q, epsilon: float) -> np.ndarray:
     return out
 
 
-def teacher_joint_graph(q_smooth, p_teacher) -> Node:
-    """A[i, j] = q_smooth[i] * p_teacher[j], the teacher-side target graph."""
-    na, nb = _vectors("teacher_joint_graph", q_smooth, p_teacher)
-    return ng.outer(na, nb)
-
-
 def _as_graph_node(a, op_name) -> Node:
     """A square joint graph (N, N), or a (B, N, N) stack of them."""
     node = _as_node(a)
@@ -112,9 +106,8 @@ def joint_graph_entropy(a_pred, a_target) -> Node:
 def jgekd_loss(a_pred, a_target) -> Node:
     """Mean of joint_graph_entropy over all N*N positions, one per graph of
     a (B, N, N) stack."""
-    pred = _as_graph_node(a_pred, "jgekd_loss")
-    n = pred.value.shape[-1]
-    entropy = joint_graph_entropy(pred, a_target)
+    entropy = joint_graph_entropy(a_pred, a_target)
+    n = entropy.value.shape[-1]
     return ng.scale(ng.reduce_sum(entropy, axis=(-2, -1)), 1.0 / (n * n))
 
 
@@ -138,8 +131,7 @@ def jgetkd_loss(p_student, p_student_prime, q, p_teacher, epsilon: float = 0.1) 
     q_smooth = smooth_labels(q, epsilon)
     pt = p_teacher.value if isinstance(p_teacher, Node) else p_teacher
     ps, psp, q_node, pt_node = _vectors("jgetkd_loss", p_student, p_student_prime, q_smooth, pt)
-    target = teacher_joint_graph(q_node, pt_node)
-    return jgekd_loss(cross_joint_graph(ps, psp), target)
+    return jgekd_loss(cross_joint_graph(ps, psp), cross_joint_graph(q_node, pt_node))
 
 
 def cross_entropy_smoothed(p, q, epsilon: float = 0.0) -> Node:

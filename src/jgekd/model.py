@@ -68,8 +68,7 @@ def block_shapes(n_classes: int) -> dict[str, tuple]:
 
 def init_params(seed: int, n_classes: int) -> ModelParams:
     """He-normal weights (std = sqrt(2/fan_in)), zero biases."""
-    if n_classes < 2:
-        raise ValueError("need at least 2 classes, got %d" % n_classes)
+    n_classes = ng.check_count(n_classes, "n_classes", 2)
     rng = Rng(seed)
     blocks = {}
     for key, shape in block_shapes(n_classes).items():
@@ -211,7 +210,7 @@ def forward_nodes(leaves: dict[str, Node], points: Node, offsets=None) -> tuple[
     if x.ndim != 2:
         raise ShapeError("forward_nodes: need (points, 3) coordinates, got %s" % (x.shape,))
     batched = offsets is not None
-    offsets = [int(o) for o in offsets] if batched else [0, len(x)]
+    offsets = [ng.check_count(o, "offset") for o in offsets] if batched else [0, len(x)]
     if len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != len(x) or any(
         lo >= hi for lo, hi in zip(offsets, offsets[1:])
     ):

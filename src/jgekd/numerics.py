@@ -135,7 +135,11 @@ def unit_vectors53(z_bits: np.ndarray, phi_bits: np.ndarray) -> np.ndarray:
 
 
 def check_count(n, name: str = "n", lo: int = 0, hi: float = math.inf) -> int:
-    """n as an int; a ValueError naming it unless it is an int in lo..hi, not a bool."""
+    """n as an int; a ValueError naming it unless it is an int in lo..hi.
+
+    The package's one rule for integer arguments: Python and numpy integers
+    pass, while bools, floats (even 3.0) and None never do.
+    """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not lo <= n <= hi:
         raise ValueError("%s must be an integer in %d..%s, got %r" % (name, lo, hi, n))
     return int(n)

@@ -258,8 +258,7 @@ def surface_points(class_id: int, n_points: int, rng: Rng) -> np.ndarray:
     its accept flags, rewinds to the words used and draws again if the block
     ran short.
     """
-    if not 0 <= class_id < NUM_CLASSES:
-        raise ValueError("class_id must be in [0, %d), got %r" % (NUM_CLASSES, class_id))
+    class_id = check_count(class_id, "class_id", 0, NUM_CLASSES - 1)
     n_points = check_count(n_points, "n_points")
     if n_points == 0:
         return np.empty((0, 3))
@@ -269,21 +268,18 @@ def surface_points(class_id: int, n_points: int, rng: Rng) -> np.ndarray:
 
 def generate_shape(class_id: int, n_points: int, seed: int) -> LabeledCloud:
     """One normalized cloud of the given class, deterministic in seed."""
-    if n_points < MIN_POINTS:
-        raise ValueError("n_points must be at least %d, got %d" % (MIN_POINTS, n_points))
+    check_count(n_points, "n_points", MIN_POINTS)
     rng = Rng(seed)
     pts = surface_points(class_id, n_points, rng)
     return LabeledCloud(normalize_unit_sphere(pts), class_id)
 
 
 def _per_class_counts(counts) -> list[int]:
-    if isinstance(counts, int):
+    if np.ndim(counts) == 0:
         counts = [counts] * NUM_CLASSES
-    counts = [int(c) for c in counts]
+    counts = [check_count(c, "per-class count", 1) for c in counts]
     if len(counts) != NUM_CLASSES:
         raise ValueError("need %d per-class counts, got %d" % (NUM_CLASSES, len(counts)))
-    if any(c < 1 for c in counts):
-        raise ValueError("per-class counts must be positive")
     return counts
 
 

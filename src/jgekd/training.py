@@ -27,7 +27,7 @@ from .corruptions import (
     corrupt_samples,
 )
 from .model import ModelParams, PARAM_KEYS, forward, forward_nodes, init_params, load_params, param_leaves
-from .numerics import Rng, split_seed
+from .numerics import Rng, check_count, split_seed
 from .pointcloud import LabeledCloud, normalize_unit_sphere
 
 BATCH_SIZE = 16
@@ -66,8 +66,7 @@ class TrainConfig:
     def validate(self):
         if self.strategy not in STRATEGIES:
             raise ValueError("strategy must be one of %s, got %r" % (", ".join(STRATEGIES), self.strategy))
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        check_count(self.epochs, "epochs", 1)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError("learning rate must be positive and finite, got %r" % self.learning_rate)
         if not all(math.isfinite(w) and w >= 0.0 for w in (self.alpha, self.beta)):
@@ -76,8 +75,8 @@ class TrainConfig:
             raise ValueError("epsilon must be in [0, 1)")
         if self.strategy == "tkd" and not self.teacher_checkpoint:
             raise ValueError("tkd needs a teacher checkpoint")
-        if self.n_classes is not None and self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
+        if self.n_classes is not None:
+            check_count(self.n_classes, "n_classes", 2)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -220,11 +219,11 @@ def train(config: TrainConfig, train_samples, test_samples) -> tuple[ModelParams
     if not train_samples or not test_samples:
         raise ValueError("train and test splits must be non-empty")
 
-    labels = [s.label for s in train_samples] + [s.label for s in test_samples]
+    labels = [check_count(s.label, "label") for split in (train_samples, test_samples) for s in split]
     n_classes = config.n_classes or max(labels) + 1
     if n_classes < 2:
         raise ValueError("need at least 2 classes in the data")
-    if min(labels) < 0 or max(labels) >= n_classes:
+    if max(labels) >= n_classes:
         raise ValueError(
             "labels %d..%d fall outside the %d configured classes" % (min(labels), max(labels), n_classes)
         )
@@ -279,8 +278,7 @@ def metrics_from_predictions(labels, predictions, n_classes: int) -> MetricsRepo
     correct = np.zeros(n_classes)
     totals = np.zeros(n_classes)
     for label, pred in zip(labels, predictions):
-        if not 0 <= label < n_classes:
-            raise ValueError("label %d outside the %d classes" % (label, n_classes))
+        label = check_count(label, "label", 0, n_classes - 1)
         totals[label] += 1
         correct[label] += pred == label
     present = totals > 0
@@ -401,15 +399,14 @@ def _insignificant_fraction(feats_a, feats_b) -> float:
 
 def class_correlation(params: ModelParams, samples, samples_per_class: int = 20) -> np.ndarray:
     """Embedding-similarity score matrix over class pairs."""
-    if samples_per_class < 4:
-        raise ValueError("samples_per_class must be >= 4 to split halves")
+    # Each class's features are split into halves of at least 2 rows.
+    samples_per_class = check_count(samples_per_class, "samples_per_class", 4)
     n_classes = params.n_classes
     grouped: list[list[np.ndarray]] = [[] for _ in range(n_classes)]
     for sample in samples:
-        if not 0 <= sample.label < n_classes:
-            raise ValueError("label %d outside the model's %d classes" % (sample.label, n_classes))
-        if len(grouped[sample.label]) < samples_per_class:
-            grouped[sample.label].append(forward(params, sample.points).embedding)
+        label = check_count(sample.label, "label", 0, n_classes - 1)
+        if len(grouped[label]) < samples_per_class:
+            grouped[label].append(forward(params, sample.points).embedding)
     for class_id, feats in enumerate(grouped):
         if len(feats) < samples_per_class:
             raise ValueError(
@@ -423,18 +420,19 @@ def class_correlation(params: ModelParams, samples, samples_per_class: int = 20)
 # ---------------------------------------------------------------------------
 
 
-def metrics_json(report: MetricsReport, config: dict | None = None) -> str:
-    doc = report.to_dict()
+def _json_report(doc: dict, config: dict | None) -> str:
+    """doc with its config embedded, as sorted, indented JSON text."""
     if config is not None:
         doc["config"] = config
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def metrics_json(report: MetricsReport, config: dict | None = None) -> str:
+    return _json_report(report.to_dict(), config)
 
 
 def robustness_json(table: RobustnessTable, config: dict | None = None) -> str:
-    doc = table.to_dict()
-    if config is not None:
-        doc["config"] = config
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_report(table.to_dict(), config)
 
 
 def _config_comments(config: dict | None) -> list[str]:
@@ -473,6 +471,11 @@ def per_class_csv(report: MetricsReport, class_names=None) -> str:
         name = class_names[class_id] if class_names else str(class_id)
         lines.append("%s,%s" % (name, "" if np.isnan(acc) else "%.6f" % acc))
     return "\n".join(lines) + "\n"
+
+
+def correlation_json(matrix: np.ndarray, class_names, config: dict | None = None) -> str:
+    doc = {"class_names": list(class_names), "scores": [[float(v) for v in row] for row in matrix]}
+    return _json_report(doc, config)
 
 
 def correlation_csv(matrix: np.ndarray, class_names) -> str:

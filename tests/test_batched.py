@@ -102,6 +102,9 @@ def test_forward_nodes_rejects_bad_offsets_and_rows():
             forward_nodes(leaves, points, offsets)
     with pytest.raises(ShapeError):
         forward_nodes(leaves, ng.leaf(np.zeros((0, 3))))
+    # An offset is an integer: 2.5 must not be truncated into a valid split.
+    with pytest.raises(ValueError, match="offset"):
+        forward_nodes(leaves, points, [0, 2.5, 5])
     rows = dict(leaves, w2=ng.broadcast(leaves["w2"], 3))
     with pytest.raises(ShapeError):
         forward_nodes(rows, points, [0, 2, 5])

@@ -69,6 +69,13 @@ def test_severity_validation():
     for kind, bad in ((K.GAUSSIAN, 0), (K.GAUSSIAN, 6), (K.GAUSSIAN, -1), (K.GAUSSIAN, 1.5), (K.IDENTITY, 0)):
         with pytest.raises(ValueError):
             apply_corruption(pts, kind, bad, Rng(0))
+    # A severity is an integer, not a bool or a float that equals one.
+    for bad in (True, 3.0, None):
+        with pytest.raises(ValueError, match=r"severity must be an integer in 1\.\.5, got %r" % (bad,)):
+            apply_corruption(pts, K.GAUSSIAN, bad, Rng(0))
+        with pytest.raises(ValueError):
+            corruption_tag(K.GAUSSIAN, bad)
+    assert corruption_tag(K.GAUSSIAN, np.int64(2)) == "gaussian_s2"
 
 
 def test_apply_corruption_rejects_bad_clouds():
@@ -86,6 +93,10 @@ def test_corruption_spec_validation():
         CorruptionSpec((K.ROTATION, 2), (K.CUTOUT, 1), (K.IDENTITY, 0))
     with pytest.raises(ValueError):
         CorruptionSpec((K.ROTATION, 2), (K.IDENTITY, 1), (K.IDENTITY, 0))
+    with pytest.raises(ValueError):
+        CorruptionSpec((K.ROTATION, True), (K.IDENTITY, 0), (K.IDENTITY, 0))
+    with pytest.raises(ValueError):
+        CorruptionSpec((K.ROTATION, 2), (K.IDENTITY, False), (K.IDENTITY, 0))
 
 
 def test_corruption_tag():

@@ -14,7 +14,6 @@ from jgekd.losses import (
     joint_graph,
     joint_graph_entropy,
     smooth_labels,
-    teacher_joint_graph,
     total_loss,
     vanilla_kd_loss,
 )
@@ -125,7 +124,7 @@ def test_smooth_labels_validation():
 
 
 def test_teacher_joint_graph_example():
-    out = teacher_joint_graph(np.array([0.9, 0.1]), np.array([0.8, 0.2])).value
+    out = cross_joint_graph(np.array([0.9, 0.1]), np.array([0.8, 0.2])).value
     assert np.allclose(out, [[0.72, 0.18], [0.08, 0.02]], atol=1e-12)
 
 
@@ -136,7 +135,7 @@ def test_teacher_joint_graph_entry_sum_and_positivity():
         q = np.zeros(n)
         q[int(rng.integers(n))] = 1.0
         p_t = _prob(rng, n)
-        out = teacher_joint_graph(smooth_labels(q, 0.1), p_t).value
+        out = cross_joint_graph(smooth_labels(q, 0.1), p_t).value
         assert abs(float(out.sum()) - 1.0) <= 1e-9
         if np.all(p_t > 0):
             assert float(out.min()) >= (0.1 / (n - 1)) * float(p_t.min()) - 1e-15

@@ -71,8 +71,9 @@ def test_init_he_std():
 
 
 def test_init_rejects_small_class_count():
-    with pytest.raises(ValueError):
-        init_params(0, 1)
+    for bad in (1, 4.0, True, None):
+        with pytest.raises(ValueError, match=r"n_classes must be an integer in 2\.\.inf, got %r" % (bad,)):
+            init_params(0, bad)
 
 
 # --- forward pass ---

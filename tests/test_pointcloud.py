@@ -89,6 +89,13 @@ def test_generate_shape_validates():
         generate_shape(8, 64, seed=0)
     with pytest.raises(ValueError):
         generate_shape(-1, 64, seed=0)
+    for bad in (1.0, True, None):
+        with pytest.raises(ValueError, match=r"class_id must be an integer in 0\.\.7, got %r" % (bad,)):
+            generate_shape(bad, 16, seed=0)
+    for bad in (None, 16.0):
+        with pytest.raises(ValueError, match=r"n_points must be an integer in 8\.\.inf, got %r" % (bad,)):
+            generate_shape(0, bad, seed=0)
+    assert generate_shape(np.int64(3), np.int64(16), seed=0).label == 3
 
 
 @pytest.mark.parametrize("n_points", [-1, 2.5, 8.0, True, False, "8", None])
@@ -378,16 +385,21 @@ def test_manifest_requires_classes_file(tmp_path):
 
 
 def test_generate_split_counts():
-    samples = generate_split(3, 8, seed=0, split_index=0)
-    assert len(samples) == 24
-    labels = [s.label for s in samples]
-    assert all(labels.count(c) == 3 for c in range(8))
+    for per_class in (3, np.int64(3)):
+        samples = generate_split(per_class, 8, seed=0, split_index=0)
+        assert len(samples) == 24
+        labels = [s.label for s in samples]
+        assert all(labels.count(c) == 3 for c in range(8))
+    for bad in (0, 2.5, True, [1.9] * 8, [2] * 7, None):
+        with pytest.raises(ValueError):
+            generate_split(bad, 8, seed=0, split_index=0)
 
 
 def test_generate_split_imbalanced_counts():
-    samples = generate_split([4, 2, 1, 4, 2, 1, 4, 2], 8, seed=0, split_index=1)
-    labels = [s.label for s in samples]
-    assert [labels.count(c) for c in range(8)] == [4, 2, 1, 4, 2, 1, 4, 2]
+    counts = [4, 2, 1, 4, 2, 1, 4, 2]
+    for per_class in (counts, np.array(counts)):
+        labels = [s.label for s in generate_split(per_class, 8, seed=0, split_index=1)]
+        assert [labels.count(c) for c in range(8)] == counts
 
 
 def test_generate_split_deterministic_and_split_sensitive():
@@ -417,7 +429,18 @@ def test_generate_minishapes_layout_and_determinism(tmp_path):
     assert len(train_samples) == 24 and len(test_samples) == 16
 
 
-@pytest.mark.parametrize("kwargs", [{"per_class_test": 0}, {"n_points": 7}], ids=["per_class_test=0", "n_points=7"])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"per_class_test": 0},
+        {"n_points": 7},
+        {"per_class_train": 2.5},
+        {"per_class_train": True},
+        {"per_class_test": [1.9] * 8},
+        {"n_points": None},
+    ],
+    ids=["per_class_test=0", "n_points=7", "per_class_train=2.5", "per_class_train=True", "per_class_test=1.9x8", "n_points=None"],
+)
 def test_generate_minishapes_rejects_bad_limits_before_writing(tmp_path, kwargs):
     out = tmp_path / "out"
     with pytest.raises(ValueError):

@@ -41,8 +41,12 @@ def test_config_validation():
     TrainConfig(strategy="st", epochs=1).validate()
     with pytest.raises(ValueError):
         TrainConfig(strategy="nope").validate()
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=0).validate()
+    for bad in (0, 1.5, True):
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(epochs=bad).validate()
+    for bad in (1, 2.5, True):
+        with pytest.raises(ValueError, match="n_classes"):
+            TrainConfig(n_classes=bad).validate()
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=-1.0).validate()
     with pytest.raises(ValueError):
@@ -109,6 +113,12 @@ def test_metrics_hand_example():
     assert abs(rep.overall_accuracy - 0.6) <= 1e-12
     assert abs(rep.mean_class_accuracy - (1.0 + 1.0 / 3.0) / 2.0) <= 1e-12
     assert abs(rep.mean_class_accuracy - 0.6667) <= 5e-4
+
+
+def test_metrics_rejects_bad_labels():
+    for bad in (3, -1, 1.0, True, None):
+        with pytest.raises(ValueError, match=r"label must be an integer in 0\.\.2, got %r" % (bad,)):
+            metrics_from_predictions([0, bad], [0, 1], 3)
 
 
 def test_metrics_absent_class_excluded_from_macc():
@@ -209,10 +219,13 @@ def test_single_sample_overfit_loss_non_increasing():
 def test_train_rejects_bad_labels():
     train_samples, test_samples = _splits()
     cfg = TrainConfig(strategy="st", epochs=1, n_classes=8)
-    for label in (99, -1):
+    for label in (99, -1, 1.0, True):
         bad = [LabeledCloud(train_samples[0].points, label)] + train_samples[1:]
         with pytest.raises(ValueError):
             train(cfg, bad, test_samples)
+    bad = [LabeledCloud(train_samples[0].points, 99)] + train_samples[1:]
+    with pytest.raises(ValueError, match=r"^labels 0\.\.99 fall outside the 8 configured classes$"):
+        train(cfg, bad, test_samples)
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -355,8 +368,14 @@ def test_class_correlation_validates_sample_count():
     train_samples, _ = _splits(per_class_train=3)
     with pytest.raises(ValueError):
         class_correlation(params, train_samples, samples_per_class=4)
-    with pytest.raises(ValueError):
-        class_correlation(params, train_samples, samples_per_class=3)
+    for bad in (3, 4.5, True):
+        with pytest.raises(ValueError, match="samples_per_class"):
+            class_correlation(params, train_samples, samples_per_class=bad)
+    train_samples, _ = _splits(per_class_train=4)
+    for bad in (8, 1.0):
+        relabeled = [LabeledCloud(train_samples[0].points, bad)] + train_samples[1:]
+        with pytest.raises(ValueError, match=r"label must be an integer in 0\.\.7, got %r" % (bad,)):
+            class_correlation(params, relabeled, samples_per_class=4)
 
 
 def test_class_correlation_shape_and_symmetry():
