@@ -150,9 +150,6 @@ def _shear(pts, s, rng):
     return pts @ m.T
 
 
-_BERNSTEIN_DEG = 2
-
-
 def _bernstein_weights(t):
     # Degree-2 Bernstein basis evaluated per point, (P,) -> (P, 3).
     return np.stack([(1.0 - t) ** 2, 2.0 * t * (1.0 - t), t ** 2], axis=1)

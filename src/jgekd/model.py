@@ -122,6 +122,23 @@ def _accumulate(leaves, per_cloud, grads) -> None:
                 adjoint += row
 
 
+def _features(x, w1, b1, w2, b2):
+    """The shared MLP and max pool on one cloud's (P, 3) points: the two
+    ReLU layers h1 and h2, and the embedding, h2's column maxima."""
+    h1 = np.maximum(x @ w1 + b1, 0.0)
+    h2 = np.maximum(h1 @ w2 + b2, 0.0)
+    return h1, h2, h2.max(axis=0)
+
+
+def _classify(e, w3, b3, w4, b4):
+    """The head on an (n_clouds, 1, HIDDEN2) stack of embeddings: h3 and the
+    (n_clouds, n_classes) logits. Stacked 1-row matmuls round exactly like
+    one cloud's vector-matrix products; a plain (n_clouds, HIDDEN2) @ w3
+    would not."""
+    h3 = np.maximum(e @ w3 + b3, 0.0)
+    return h3, (h3 @ w4 + b4).reshape(len(e), -1)
+
+
 def _pool(points: Node, offsets, leaves, values, per_cloud, batched) -> Node:
     """Shared MLP and max pool, one cloud at a time: (n_clouds, HIDDEN2).
 
@@ -131,14 +148,12 @@ def _pool(points: Node, offsets, leaves, values, per_cloud, batched) -> Node:
     kept for backward, which finds the pool's first argmax in the second.
     """
     x = points.value
-    w1, b1, w2, b2 = (values[key] for key in _POOL_KEYS)
+    w1, b1, w2, b2 = pool = [values[key] for key in _POOL_KEYS]
     segments = list(zip(offsets[:-1], offsets[1:]))
     kept = []
     embedding = np.empty((len(segments), w2.shape[1]))
     for s, (lo, hi) in enumerate(segments):
-        h1 = np.maximum(x[lo:hi] @ w1 + b1, 0.0)
-        h2 = np.maximum(h1 @ w2 + b2, 0.0)
-        embedding[s] = h2.max(axis=0)
+        h1, h2, embedding[s] = _features(x[lo:hi], *pool)
         kept.append((h1, h2))
 
     def push(g):
@@ -164,16 +179,10 @@ def _pool(points: Node, offsets, leaves, values, per_cloud, batched) -> Node:
 
 
 def _head(embedding: Node, n_clouds, leaves, values, per_cloud, batched) -> Node:
-    """Classification head on all clouds at once: (n_clouds, n_classes).
-
-    Each cloud's row goes through stacked 1-row matmuls, which round exactly
-    like the vector-matrix products of a single cloud; a plain
-    (n_clouds, HIDDEN2) @ w3 would not.
-    """
-    w3, b3, w4, b4 = (values[key] for key in _HEAD_KEYS)
+    """Classification head on all clouds at once: (n_clouds, n_classes)."""
+    w3, b3, w4, b4 = head = [values[key] for key in _HEAD_KEYS]
     e = embedding.value.reshape(n_clouds, 1, -1)
-    h3 = np.maximum(e @ w3 + b3, 0.0)
-    logits = (h3 @ w4 + b4).reshape(n_clouds, -1)
+    h3, logits = _classify(e, *head)
 
     def push(g):
         g = g.reshape(logits.shape)
@@ -223,10 +232,11 @@ def forward_nodes(leaves: dict[str, Node], points: Node, offsets=None) -> tuple[
 
 
 def forward(params: ModelParams, cloud) -> ForwardOutput:
-    """Plain forward pass; a pure function of (params, cloud)."""
-    pts = check_cloud(cloud)
-    logits, probs, embedding = forward_nodes(param_leaves(params), ng.leaf(pts))
-    return ForwardOutput(logits.value, probs.value, embedding.value)
+    """Plain forward pass, a pure function of (params, cloud). It builds no
+    graph: forward_nodes' value functions on one cloud give the same bits."""
+    _, _, embedding = _features(check_cloud(cloud), params.w1, params.b1, params.w2, params.b2)
+    _, logits = _classify(embedding.reshape(1, 1, -1), params.w3, params.b3, params.w4, params.b4)
+    return ForwardOutput(logits[0], ng.softmax_values(logits[0]), embedding)
 
 
 def save_params(path, params: ModelParams) -> None:

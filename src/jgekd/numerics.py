@@ -357,13 +357,18 @@ def scale(a: Node, c: float) -> Node:
     return Node(a.value * c, (a,), push)
 
 
+def softmax_values(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shift-stabilized; softmax's value."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(a: Node) -> Node:
-    """Softmax over the last axis, shift-stabilized."""
+    """Softmax over the last axis as a graph op."""
     z = a.value
     if z.ndim < 1 or z.shape[-1] < 1:
         raise ShapeError("softmax: need a non-empty last axis, got %s" % (z.shape,))
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = softmax_values(z)
 
     def push(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
@@ -406,7 +411,7 @@ def broadcast(a: Node, n: int) -> Node:
     gradients apart; push then adds the rows into a's adjoint one by one in
     row order, which is the order a loop of per-sample graphs would add them.
     """
-    if n < 1:
+    if check_count(n) < 1:
         raise ShapeError("broadcast: need at least one row, got %d" % n)
 
     def push(g):

@@ -79,6 +79,22 @@ def test_batched_forward_nodes_equals_per_cloud_calls(seed):
         assert np.array_equal(leaves[key].adjoint, total)
 
 
+def test_pool_ties_go_to_the_first_maximum():
+    # The last 16 rows repeat the first 16, so their h2 rows tie exactly and
+    # each column's pool gradient must go to the first copy only.
+    params = init_params(3, N_CLASSES)
+    base = _clouds(3, (16,))[0]
+    weights = tuple(w[0] for w in _weights(4, 1))
+    grads = []
+    for build in (forward_nodes, oracles.classifier_nodes):
+        points = ng.leaf(np.vstack([base, base]))
+        ng.backward(_objective(weights, *build(param_leaves(params), points)))
+        grads.append(points.adjoint)
+    assert np.all(grads[0][16:] == 0.0)
+    assert np.any(grads[0][:16] != 0.0, axis=1).sum() >= 8  # the first copies do take gradient
+    assert np.array_equal(grads[0], grads[1])
+
+
 def test_shared_leaves_take_the_summed_gradient():
     params = init_params(4, N_CLASSES)
     clouds = _clouds(4, (5, 9, 1))

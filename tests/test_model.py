@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jgekd import numerics as ng
+from jgekd.corruptions import apply_corruption
 from jgekd.losses import cross_entropy_smoothed
 from jgekd.model import (
     PARAM_KEYS,
@@ -18,7 +19,7 @@ from jgekd.model import (
     param_leaves,
     save_params,
 )
-from jgekd.numerics import grad_check
+from jgekd.numerics import Rng, grad_check
 
 
 def _cloud(seed, n=16):
@@ -95,6 +96,27 @@ def test_forward_is_pure():
     b = forward(params, cloud)
     assert np.array_equal(a.logits, b.logits)
     assert np.array_equal(a.probs, b.probs)
+
+
+@pytest.mark.parametrize("n_points", [1, 8, 64, 1024, "density_dec"])
+def test_forward_equals_forward_nodes_without_a_graph(n_points, monkeypatch):
+    params = init_params(6, 8)
+    if n_points == "density_dec":
+        clouds = [apply_corruption(_cloud(8, 1024), "density_dec", s, Rng(s)) for s in range(1, 6)]
+        assert len({len(c) for c in clouds}) == len(clouds)  # ragged
+    else:
+        clouds = [np.random.default_rng(n_points).normal(size=(n_points, 3))]
+    offsets = np.cumsum([0] + [len(c) for c in clouds]).tolist()
+    stacked = forward_nodes(param_leaves(params), ng.leaf(np.concatenate(clouds)), offsets)
+    built, init = [], ng.Node.__init__
+    monkeypatch.setattr(ng.Node, "__init__", lambda self, *a: built.append(self) or init(self, *a))
+    outs = [forward(params, cloud) for cloud in clouds]
+    monkeypatch.undo()
+    assert built == []
+    for s, (cloud, out) in enumerate(zip(clouds, outs)):
+        alone = forward_nodes(param_leaves(params), ng.leaf(cloud))
+        for got, single, row in zip((out.logits, out.probs, out.embedding), alone, stacked):
+            assert np.array_equal(got, single.value) and np.array_equal(got, row.value[s]), len(cloud)
 
 
 def test_forward_permutation_invariance_bit_exact():

@@ -412,6 +412,9 @@ def test_broadcast_rows_and_their_gradient_order():
     assert grads[a].tolist() == [(1.0 + 1e16) - 1e16, 10.0]
     with pytest.raises(ShapeError):
         ng.broadcast(a, 0)
+    for bad in (2.5, True, None):
+        with pytest.raises(ValueError, match=r"n must be an integer in 0\.\.inf, got %r" % (bad,)):
+            ng.broadcast(a, bad)
 
 
 def test_affine_matches_numpy():
