@@ -123,11 +123,18 @@ def _accumulate(leaves, per_cloud, grads) -> None:
 
 
 def _features(x, w1, b1, w2, b2):
-    """The shared MLP and max pool on one cloud's (P, 3) points: the two
-    ReLU layers h1 and h2, and the embedding, h2's column maxima."""
-    h1 = np.maximum(x @ w1 + b1, 0.0)
-    h2 = np.maximum(h1 @ w2 + b2, 0.0)
-    return h1, h2, h2.max(axis=0)
+    """The shared MLP and max pool on one cloud's (P, 3) points: the ReLU
+    layer h1, the products a = h1 @ w2, and the embedding, the column maxima
+    of h2 = relu(a + b2). Pooling a before the bias and ReLU gives the same
+    bits on 64 values instead of P * 64: rounding is monotone, so for a
+    finite b max_p fl(a_p + b) == fl(max_p a_p + b); max and ReLU commute;
+    np.maximum(-0.0, 0.0) is +0.0; and a NaN propagates either way.
+    """
+    h1 = x @ w1
+    h1 += b1
+    np.maximum(h1, 0.0, out=h1)
+    a = h1 @ w2
+    return h1, a, np.maximum(a.max(axis=0) + b2, 0.0)
 
 
 def _classify(e, w3, b3, w4, b4):
@@ -144,8 +151,9 @@ def _pool(points: Node, offsets, leaves, values, per_cloud, batched) -> Node:
 
     Every matmul over a cloud's points keeps that cloud's own shape: one
     taller product over the stacked clouds rounds differently, and so do
-    segment sums by np.add.reduceat. Each cloud's two layer activations are
-    kept for backward, which finds the pool's first argmax in the second.
+    segment sums by np.add.reduceat. Each cloud's h1 and a are kept for
+    backward, which finds the pool's first argmax in a rebuilt h2, not in a:
+    distinct products can round to a tie once b2 is added.
     """
     x = points.value
     w1, b1, w2, b2 = pool = [values[key] for key in _POOL_KEYS]
@@ -153,19 +161,21 @@ def _pool(points: Node, offsets, leaves, values, per_cloud, batched) -> Node:
     kept = []
     embedding = np.empty((len(segments), w2.shape[1]))
     for s, (lo, hi) in enumerate(segments):
-        h1, h2, embedding[s] = _features(x[lo:hi], *pool)
-        kept.append((h1, h2))
+        h1, a, embedding[s] = _features(x[lo:hi], *pool)
+        kept.append((h1, a))
 
     def push(g):
         g = g.reshape(embedding.shape)
         grads = {key: np.empty((len(segments),) + values[key].shape) for key in _POOL_KEYS}
         for s, (lo, hi) in enumerate(segments):
-            h1, h2 = kept[s]
+            h1, a = kept[s]
+            h2 = a + b2
+            np.maximum(h2, 0.0, out=h2)
             # np.argmax takes the first maximum, so ties go to the lowest point.
-            scatter = np.zeros_like(h2)
-            scatter[np.argmax(h2, axis=0), np.arange(h2.shape[1])] = g[s]
-            # relu's gate h > 0 equals pre > 0, so the activations suffice.
-            ga2 = scatter * (h2 > 0.0)
+            # Only the maxima take gradient, and relu's gate there, h > 0
+            # (equal to pre > 0), is the embedding's own.
+            ga2 = np.zeros_like(h2)
+            ga2[np.argmax(h2, axis=0), np.arange(h2.shape[1])] = g[s] * (embedding[s] > 0.0)
             ga1 = (ga2 @ w2.T) * (h1 > 0.0)
             grads["w2"][s] = h1.T @ ga2
             grads["b2"][s] = ga2.sum(axis=0)

@@ -341,6 +341,8 @@ def robustness_eval(
 ) -> RobustnessTable:
     """Severity sweep: corrupt the set once per cell, evaluate both models on
     identical data, and report per-kind corruption error plus its mean."""
+    if params.n_classes != ref_params.n_classes:
+        raise ValueError("model has %d classes, reference has %d" % (params.n_classes, ref_params.n_classes))
     if kinds is None:
         kinds = BACKGROUND_EXCLUDED_KINDS
     base = [LabeledCloud(normalize_unit_sphere(s.points), s.label) for s in samples]

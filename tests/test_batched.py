@@ -95,6 +95,32 @@ def test_pool_ties_go_to_the_first_maximum():
     assert np.array_equal(grads[0], grads[1])
 
 
+def test_pool_ties_are_taken_after_the_bias():
+    # In column C, point 0's product 2**-54 and point 1's 2**-53 differ, but
+    # both round to 1.0 once b2[C] = 1.0 is added (ties to even), as do the
+    # zero products of the later points. The pool's gradient must go to the
+    # first maximum of h2, point 0; the first maximum of the products
+    # themselves would be point 1. Only h1's first unit reads x, and only
+    # column C reads that unit, so the point gradient shows where it went.
+    C = 5
+    params = init_params(3, N_CLASSES)
+    params.w1, params.b1 = np.zeros_like(params.w1), np.zeros_like(params.b1)
+    params.w1[0, 0] = 1.0
+    params.w2, params.b2 = np.zeros_like(params.w2), np.zeros_like(params.b2)
+    params.w2[0, C] = params.b2[C] = 1.0
+    cloud = np.vstack([[[2.0**-54, 0.0, 0.0], [2.0**-53, 0.0, 0.0]], _clouds(6, (6,))[0]])
+    cloud[2:, 0] = -np.abs(cloud[2:, 0])
+    assert np.argmax(np.maximum(cloud @ params.w1, 0.0) @ params.w2, axis=0)[C] == 1
+    weights = tuple(w[0] for w in _weights(7, 1))
+    grads = []
+    for build in (forward_nodes, oracles.classifier_nodes):
+        points = ng.leaf(cloud)
+        ng.backward(_objective(weights, *build(param_leaves(params), points)))
+        grads.append(points.adjoint)
+    assert grads[0][0, 0] != 0.0 and np.all(grads[0][1:] == 0.0)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
 def test_shared_leaves_take_the_summed_gradient():
     params = init_params(4, N_CLASSES)
     clouds = _clouds(4, (5, 9, 1))

@@ -19,6 +19,7 @@ from jgekd.cli import (
     load_config_file,
     main,
 )
+from jgekd.model import init_params, save_params
 
 # 8 classes, 4 train + 2 test clouds each: the smallest tree that still
 # satisfies correlation's 4-per-class floor.
@@ -493,6 +494,24 @@ def test_robustness_missing_ref(overfit_run, dataset, tmp_path):
         ]
     )
     assert code == EXIT_IO
+
+
+def test_robustness_rejects_a_reference_with_another_class_count(overfit_run, dataset, tmp_path, capsys):
+    ref = tmp_path / "ref10.jgp"
+    save_params(str(ref), init_params(0, 10))
+    out = tmp_path / "rob"
+    code = main(
+        [
+            "robustness",
+            "--model", os.path.join(overfit_run, "model.jgp"),
+            "--ref", str(ref),
+            "--data", dataset["test"],
+            "--out", str(out),
+        ]
+    )
+    assert code == EXIT_VALIDATION
+    assert "model has 8 classes, reference has 10" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- correlation ---

@@ -4,7 +4,9 @@ import struct
 import numpy as np
 import pytest
 
+import oracles
 from jgekd import numerics as ng
+from jgekd.cli import EXIT_OK, main
 from jgekd.corruptions import apply_corruption
 from jgekd.losses import cross_entropy_smoothed
 from jgekd.model import (
@@ -20,6 +22,8 @@ from jgekd.model import (
     save_params,
 )
 from jgekd.numerics import Rng, grad_check
+from jgekd.pointcloud import generate_minishapes
+from test_golden import EPOCHS, N_POINTS, PER_TEST, PER_TRAIN
 
 
 def _cloud(seed, n=16):
@@ -117,6 +121,55 @@ def test_forward_equals_forward_nodes_without_a_graph(n_points, monkeypatch):
         alone = forward_nodes(param_leaves(params), ng.leaf(cloud))
         for got, single, row in zip((out.logits, out.probs, out.embedding), alone, stacked):
             assert np.array_equal(got, single.value) and np.array_equal(got, row.value[s]), len(cloud)
+
+
+@pytest.fixture(scope="module")
+def golden_skd(tmp_path_factory):
+    """The skd checkpoint of tests/test_golden.py, trained by its recipe."""
+    root = tmp_path_factory.mktemp("golden_skd")
+    train_manifest, test_manifest = generate_minishapes(
+        str(root / "data"), per_class_train=PER_TRAIN, per_class_test=PER_TEST, n_points=N_POINTS, seed=0
+    )
+    argv = ["train", "--strategy", "skd", "--epochs", str(EPOCHS), "--seed", "0"]
+    argv += ["--train-data", train_manifest, "--test-data", test_manifest, "--out", str(root / "skd")]
+    assert main(argv) == EXIT_OK
+    return load_params(root / "skd" / "model.jgp")
+
+
+def _crafted(params):
+    """params with a b2 that holds -0.0 and three kinds of column whose
+    pooled value a.max() + b2 is <= 0: weights of -0.0, so every product is
+    a zero; weights <= 0, so every product is <= 0; and a bias far below
+    every product."""
+    w2, b2 = params.w2.copy(), params.b2.copy()
+    b2[0::2] = -0.0
+    w2[:, 0::8] = -0.0
+    w2[:, 2::8] = -np.abs(w2[:, 2::8])
+    b2[1::4] = -100.0
+    return ModelParams(**dict(params.blocks(), w2=w2, b2=b2))
+
+
+@pytest.mark.parametrize("checkpoint", ["init", "golden_skd", "crafted"])
+@pytest.mark.parametrize("n_points", [1, 8, 64, 1024, "density_dec"])
+def test_forward_equals_the_per_op_oracle_byte_for_byte(n_points, checkpoint, request):
+    # forward pools the second layer's products before its bias and ReLU;
+    # the oracle adds the bias and applies ReLU on every point, then pools.
+    params = init_params(6, 8) if checkpoint == "init" else request.getfixturevalue("golden_skd")
+    if checkpoint == "crafted":
+        params = _crafted(params)
+    if n_points == "density_dec":
+        clouds = [apply_corruption(_cloud(8, 1024), "density_dec", s, Rng(s)) for s in range(1, 6)]
+    else:
+        clouds = [np.random.default_rng(n_points).normal(size=(n_points, 3))]
+    for cloud in clouds:
+        out = forward(params, cloud)
+        want = oracles.classifier_nodes(param_leaves(params), ng.leaf(cloud))
+        for got, node in zip((out.logits, out.probs, out.embedding), want):
+            assert got.tobytes() == node.value.tobytes(), len(cloud)
+        if checkpoint == "crafted":
+            pooled = (np.maximum(cloud @ params.w1 + params.b1, 0.0) @ params.w2).max(axis=0) + params.b2
+            assert np.any(pooled <= 0.0) and np.any(pooled > 0.0)
+            assert np.any(np.signbit(params.b2) & (params.b2 == 0.0))
 
 
 def test_forward_permutation_invariance_bit_exact():

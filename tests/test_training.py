@@ -321,6 +321,16 @@ def test_robustness_eval_kind_subset_and_background():
     assert set(table.oa_model[K.BACKGROUND]) == {1, 2}
 
 
+def test_robustness_eval_rejects_a_reference_with_another_class_count(monkeypatch):
+    _, test_samples = _splits(per_class_test=1, n_points=12)
+    drawn = []
+    monkeypatch.setattr("jgekd.training.corrupt_samples", lambda *a: drawn.append(a))
+    for ref_classes in (10, 4):
+        with pytest.raises(ValueError, match="model has 8 classes, reference has %d" % ref_classes):
+            robustness_eval(init_params(0, 8), init_params(0, ref_classes), test_samples, seed=0)
+    assert drawn == []
+
+
 # --- statistics ---
 
 
