@@ -147,6 +147,8 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     params = load_params(args.model)
     manifest, samples = load_dataset(args.data)
+    if params.n_classes != len(manifest.class_names):
+        raise ValueError("model has %d classes, %s lists %d" % (params.n_classes, args.data, len(manifest.class_names)))
     report = training.evaluate(params, samples)
     resolved = {"model": args.model, "data": args.data}
     if args.out:

@@ -90,36 +90,26 @@ _POOL_KEYS = ("w1", "b1", "w2", "b2")
 _HEAD_KEYS = ("w3", "b3", "w4", "b4")
 
 
-def _param_values(leaves, n_clouds) -> tuple[dict, dict]:
-    """Each parameter's value, and whether its leaf is a broadcast of it
-    with one gradient row per cloud (numerics.broadcast) rather than one
-    leaf that all clouds share."""
-    values, per_cloud = {}, {}
+def _param_rows(leaves, n_clouds) -> dict[str, Node]:
+    """Each parameter as n_clouds rows with one gradient row per cloud
+    (numerics.broadcast). Rows already broadcast to n_clouds pass through; a
+    shared leaf is broadcast here, and backward adds its rows into it one by
+    one in cloud order. Two calls on the same shared leaves each add their
+    own rows, in the order backward visits the two broadcasts."""
+    rows = {}
     for key in PARAM_KEYS:
         value = leaves[key].value
         rank = 2 if key[0] == "w" else 1
         if value.ndim == rank:
-            values[key], per_cloud[key] = value, False
+            rows[key] = ng.broadcast(leaves[key], n_clouds)
         elif value.ndim == rank + 1 and value.shape[0] == n_clouds and value.strides[0] == 0:
-            values[key], per_cloud[key] = value[0], True
+            rows[key] = leaves[key]
         else:
             raise ShapeError(
                 "forward_nodes: %s of shape %s is neither shared nor broadcast to %d clouds"
                 % (key, value.shape, n_clouds)
             )
-    return values, per_cloud
-
-
-def _accumulate(leaves, per_cloud, grads) -> None:
-    """Add grads[key][s], cloud s's gradient, into row s of a broadcast
-    leaf's adjoint, or into a shared leaf's adjoint one cloud at a time."""
-    for key, rows in grads.items():
-        adjoint = leaves[key].adjoint
-        if per_cloud[key]:
-            adjoint += rows
-        else:
-            for row in rows:
-                adjoint += row
+    return rows
 
 
 def _features(x, w1, b1, w2, b2):
@@ -146,17 +136,18 @@ def _classify(e, w3, b3, w4, b4):
     return h3, (h3 @ w4 + b4).reshape(len(e), -1)
 
 
-def _pool(points: Node, offsets, leaves, values, per_cloud, batched) -> Node:
+def _pool(points: Node, offsets, rows, batched) -> Node:
     """Shared MLP and max pool, one cloud at a time: (n_clouds, HIDDEN2).
 
     Every matmul over a cloud's points keeps that cloud's own shape: one
     taller product over the stacked clouds rounds differently, and so do
     segment sums by np.add.reduceat. Each cloud's h1 and a are kept for
     backward, which finds the pool's first argmax in a rebuilt h2, not in a:
-    distinct products can round to a tie once b2 is added.
+    distinct products can round to a tie once b2 is added. Backward adds
+    cloud s's parameter gradients into row s of each parameter's adjoint.
     """
     x = points.value
-    w1, b1, w2, b2 = pool = [values[key] for key in _POOL_KEYS]
+    w1, b1, w2, b2 = pool = [rows[key].value[0] for key in _POOL_KEYS]
     segments = list(zip(offsets[:-1], offsets[1:]))
     kept = []
     embedding = np.empty((len(segments), w2.shape[1]))
@@ -166,7 +157,7 @@ def _pool(points: Node, offsets, leaves, values, per_cloud, batched) -> Node:
 
     def push(g):
         g = g.reshape(embedding.shape)
-        grads = {key: np.empty((len(segments),) + values[key].shape) for key in _POOL_KEYS}
+        gw1, gb1, gw2, gb2 = (rows[key].adjoint for key in _POOL_KEYS)
         for s, (lo, hi) in enumerate(segments):
             h1, a = kept[s]
             h2 = a + b2
@@ -177,20 +168,20 @@ def _pool(points: Node, offsets, leaves, values, per_cloud, batched) -> Node:
             ga2 = np.zeros_like(h2)
             ga2[np.argmax(h2, axis=0), np.arange(h2.shape[1])] = g[s] * (embedding[s] > 0.0)
             ga1 = (ga2 @ w2.T) * (h1 > 0.0)
-            grads["w2"][s] = h1.T @ ga2
-            grads["b2"][s] = ga2.sum(axis=0)
+            gw2[s] += h1.T @ ga2
+            gb2[s] += ga2.sum(axis=0)
             points.adjoint[lo:hi] += ga1 @ w1.T
-            grads["w1"][s] = x[lo:hi].T @ ga1
-            grads["b1"][s] = ga1.sum(axis=0)
-        _accumulate(leaves, per_cloud, grads)
+            gw1[s] += x[lo:hi].T @ ga1
+            gb1[s] += ga1.sum(axis=0)
 
-    inputs = (points,) + tuple(leaves[key] for key in _POOL_KEYS)
+    inputs = (points,) + tuple(rows[key] for key in _POOL_KEYS)
     return Node(embedding if batched else embedding[0], inputs, push)
 
 
-def _head(embedding: Node, n_clouds, leaves, values, per_cloud, batched) -> Node:
-    """Classification head on all clouds at once: (n_clouds, n_classes)."""
-    w3, b3, w4, b4 = head = [values[key] for key in _HEAD_KEYS]
+def _head(embedding: Node, n_clouds, rows, batched) -> Node:
+    """Classification head on all clouds at once: (n_clouds, n_classes).
+    Backward adds the stacked per-cloud gradients into the rows' adjoints."""
+    w3, b3, w4, b4 = head = [rows[key].value[0] for key in _HEAD_KEYS]
     e = embedding.value.reshape(n_clouds, 1, -1)
     h3, logits = _classify(e, *head)
 
@@ -199,15 +190,12 @@ def _head(embedding: Node, n_clouds, leaves, values, per_cloud, batched) -> Node
         a3 = h3[:, 0]
         ga3 = np.matmul(w4, g[:, :, None])[..., 0] * (a3 > 0.0)
         embedding.adjoint += np.matmul(w3, ga3[:, :, None]).reshape(embedding.adjoint.shape)
-        grads = {
-            "w3": e.transpose(0, 2, 1) * ga3[:, None, :],
-            "b3": ga3,
-            "w4": a3[:, :, None] * g[:, None, :],
-            "b4": g,
-        }
-        _accumulate(leaves, per_cloud, grads)
+        rows["w3"].adjoint += e.transpose(0, 2, 1) * ga3[:, None, :]
+        rows["b3"].adjoint += ga3
+        rows["w4"].adjoint += a3[:, :, None] * g[:, None, :]
+        rows["b4"].adjoint += g
 
-    inputs = (embedding,) + tuple(leaves[key] for key in _HEAD_KEYS)
+    inputs = (embedding,) + tuple(rows[key] for key in _HEAD_KEYS)
     return Node(logits if batched else logits[0], inputs, push)
 
 
@@ -216,10 +204,11 @@ def forward_nodes(leaves: dict[str, Node], points: Node, offsets=None) -> tuple[
 
     points holds one (P, 3) cloud, or, given offsets, a ragged stack of
     clouds: cloud s is rows offsets[s]:offsets[s + 1]. A stack's outputs
-    gain a leading axis with one row per cloud. Its parameter leaves may be
-    shared, or broadcasts (numerics.broadcast) that give each cloud its own
-    gradient row. Two ops carry the gradient rules, the point features with
-    their max pool and the head; each output can take a gradient.
+    gain a leading axis with one row per cloud. Every parameter enters the
+    two ops, the point features with their max pool and the head, as
+    per-cloud rows (numerics.broadcast): a shared leaf is broadcast on entry,
+    and _param_rows gives the order its rows are summed in. Each output can
+    take a gradient.
 
     A stack gives each cloud bit for bit what a call on that cloud alone
     gives: values, and gradients for the cloud and the parameters. Batching
@@ -235,9 +224,9 @@ def forward_nodes(leaves: dict[str, Node], points: Node, offsets=None) -> tuple[
     ):
         raise ShapeError("forward_nodes: offsets %s do not split %d points into non-empty clouds" % (offsets, len(x)))
     n_clouds = len(offsets) - 1
-    values, per_cloud = _param_values(leaves, n_clouds)
-    embedding = _pool(points, offsets, leaves, values, per_cloud, batched)
-    logits = _head(embedding, n_clouds, leaves, values, per_cloud, batched)
+    rows = _param_rows(leaves, n_clouds)
+    embedding = _pool(points, offsets, rows, batched)
+    logits = _head(embedding, n_clouds, rows, batched)
     return logits, ng.softmax(logits), embedding
 
 

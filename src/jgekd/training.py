@@ -343,8 +343,10 @@ def robustness_eval(
     identical data, and report per-kind corruption error plus its mean."""
     if params.n_classes != ref_params.n_classes:
         raise ValueError("model has %d classes, reference has %d" % (params.n_classes, ref_params.n_classes))
-    if kinds is None:
-        kinds = BACKGROUND_EXCLUDED_KINDS
+    kinds = tuple(BACKGROUND_EXCLUDED_KINDS if kinds is None else kinds)
+    severities = tuple(severities)
+    if not kinds or not severities:
+        raise ValueError("a robustness sweep needs at least one kind and one severity")
     base = [LabeledCloud(normalize_unit_sphere(s.points), s.label) for s in samples]
     oa_model: dict = {}
     oa_ref: dict = {}
@@ -355,7 +357,7 @@ def robustness_eval(
             corrupted = corrupt_samples(base, kind, severity, seed)
             oa_model[kind][severity] = evaluate(params, corrupted).overall_accuracy
             oa_ref[kind][severity] = evaluate(ref_params, corrupted).overall_accuracy
-    return build_robustness_table(tuple(kinds), tuple(severities), oa_model, oa_ref)
+    return build_robustness_table(kinds, severities, oa_model, oa_ref)
 
 
 def welch_t(a, b) -> float:

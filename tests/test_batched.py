@@ -79,6 +79,45 @@ def test_batched_forward_nodes_equals_per_cloud_calls(seed):
         assert np.array_equal(leaves[key].adjoint, total)
 
 
+def test_two_calls_on_the_same_rows_add_into_each_row():
+    # Training's siamese branches: a clean and a corrupted stack through the
+    # same rows. Row s must end as cloud s's clean plus corrupted gradient,
+    # so neither call may overwrite what the other added.
+    params = init_params(8, N_CLASSES)
+    stacks = [_clouds(8), _clouds(9, (64, 1, 8, 200, 37, 1, 8))]
+    weights = [_weights(10, len(SIZES)), _weights(11, len(SIZES))]
+    rows = {key: ng.broadcast(leaf, len(SIZES)) for key, leaf in param_leaves(params).items()}
+    total = None
+    for clouds, w in zip(stacks, weights):
+        stacked, offsets = _stack(clouds)
+        term = _objective(w, *forward_nodes(rows, ng.leaf(stacked), offsets))
+        total = term if total is None else ng.add(total, term)
+    ng.backward(total)
+
+    for s in range(len(SIZES)):
+        alone = []
+        for clouds, w in zip(stacks, weights):
+            single = param_leaves(params)
+            ng.backward(_objective(tuple(x[s] for x in w), *oracles.classifier_nodes(single, ng.leaf(clouds[s]))))
+            alone.append(single)
+        for key in PARAM_KEYS:
+            expected = alone[0][key].adjoint + alone[1][key].adjoint
+            assert rows[key].adjoint[s].tobytes() == expected.tobytes(), (key, s)
+
+
+def test_forward_nodes_on_rows_builds_three_nodes(monkeypatch):
+    # pool, head and softmax: a batch's graph must not grow with its rows.
+    params = init_params(0, N_CLASSES)
+    rows = {key: ng.broadcast(leaf, len(SIZES)) for key, leaf in param_leaves(params).items()}
+    stacked, offsets = _stack(_clouds(0))
+    points = ng.leaf(stacked)
+    built, init = [], ng.Node.__init__
+    monkeypatch.setattr(ng.Node, "__init__", lambda self, *a: built.append(self) or init(self, *a))
+    forward_nodes(rows, points, offsets)
+    monkeypatch.undo()
+    assert len(built) == 3
+
+
 def test_pool_ties_go_to_the_first_maximum():
     # The last 16 rows repeat the first 16, so their h2 rows tie exactly and
     # each column's pool gradient must go to the first copy only.

@@ -405,6 +405,17 @@ def test_eval_writes_reports(overfit_run, dataset, tmp_path):
     assert len(rows) == 8 + 1  # header + one row per class
 
 
+@pytest.mark.parametrize("n_classes", [10, 4])
+def test_eval_rejects_a_model_with_another_class_count(dataset, tmp_path, capsys, n_classes):
+    model = tmp_path / "model.jgp"
+    save_params(str(model), init_params(0, n_classes))
+    out = tmp_path / "ev"
+    code = main(["eval", "--model", str(model), "--data", dataset["test"], "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert "model has %d classes, %s lists 8" % (n_classes, dataset["test"]) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_overfit_train_at_least_test(overfit_run, dataset, tmp_path):
     # run-once sanity: a memorizing model scores at least as well on the
     # split it memorized

@@ -331,6 +331,19 @@ def test_robustness_eval_rejects_a_reference_with_another_class_count(monkeypatc
     assert drawn == []
 
 
+@pytest.mark.parametrize("sweep", [{"kinds": []}, {"severities": ()}], ids=["no_kinds", "no_severities"])
+def test_robustness_eval_rejects_an_empty_sweep(sweep, monkeypatch):
+    # No kinds would make mCE the mean of nothing (NaN); no severities would
+    # make every CE 0/0 read as 1.0. Either fails before a draw.
+    params = init_params(0, 8)
+    _, test_samples = _splits(per_class_test=1, n_points=12)
+    drawn = []
+    monkeypatch.setattr("jgekd.training.corrupt_samples", lambda *a: drawn.append(a))
+    with pytest.raises(ValueError, match="at least one kind and one severity"):
+        robustness_eval(params, params, test_samples, seed=0, **sweep)
+    assert drawn == []
+
+
 # --- statistics ---
 
 
