@@ -19,6 +19,7 @@ from . import training
 from .corruptions import (
     ALL_EVAL_KINDS,
     BACKGROUND_EXCLUDED_KINDS,
+    SEVERITIES,
     corrupt_eval_set,
     parse_kind,
 )
@@ -36,6 +37,12 @@ _KIND_NAMES = ", ".join(k.value for k in ALL_EVAL_KINDS)
 
 def _write(path, text: str) -> None:
     write_atomic(path, text.encode("utf-8"))
+
+
+def _check_class_count(params, role: str, manifest, data) -> None:
+    """A checkpoint fits a split only if it has the split's class count."""
+    if params.n_classes != len(manifest.class_names):
+        raise ValueError("%s has %d classes, %s lists %d" % (role, params.n_classes, data, len(manifest.class_names)))
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +64,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_corrupt(args) -> int:
     if args.all:
-        cells = [(kind, severity) for kind in ALL_EVAL_KINDS for severity in range(1, 6)]
+        cells = [(kind, severity) for kind in ALL_EVAL_KINDS for severity in SEVERITIES]
     else:
         if args.kind is None:
             raise ValueError("pass --kind or --all")
@@ -147,8 +154,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     params = load_params(args.model)
     manifest, samples = load_dataset(args.data)
-    if params.n_classes != len(manifest.class_names):
-        raise ValueError("model has %d classes, %s lists %d" % (params.n_classes, args.data, len(manifest.class_names)))
+    _check_class_count(params, "model", manifest, args.data)
     report = training.evaluate(params, samples)
     resolved = {"model": args.model, "data": args.data}
     if args.out:
@@ -165,7 +171,9 @@ def _cmd_eval(args) -> int:
 def _cmd_robustness(args) -> int:
     params = load_params(args.model)
     ref_params = load_params(args.ref)
-    _, samples = load_dataset(args.data)
+    manifest, samples = load_dataset(args.data)
+    _check_class_count(params, "model", manifest, args.data)
+    _check_class_count(ref_params, "reference", manifest, args.data)
     kinds = ALL_EVAL_KINDS if args.with_background else BACKGROUND_EXCLUDED_KINDS
     table = training.robustness_eval(params, ref_params, samples, args.seed, kinds=kinds)
     resolved = {
@@ -185,6 +193,7 @@ def _cmd_robustness(args) -> int:
 def _cmd_correlation(args) -> int:
     params = load_params(args.model)
     manifest, samples = load_dataset(args.data)
+    _check_class_count(params, "model", manifest, args.data)
     matrix = training.class_correlation(params, samples, args.samples_per_class)
     os.makedirs(args.out, exist_ok=True)
     resolved = {"model": args.model, "data": args.data, "samples_per_class": args.samples_per_class}

@@ -29,6 +29,7 @@ from .numerics import Rng, check_count, split_seed
 from .pointcloud import LabeledCloud, DatasetManifest, check_cloud, load_dataset, save_cloud, save_manifest
 
 MIN_SURVIVORS = 8
+SEVERITIES = range(1, 6)
 
 
 class UnsupportedCorruptionError(ValueError):
@@ -84,7 +85,7 @@ def parse_kind(kind) -> CorruptionKind:
 
 
 def _check_severity(severity) -> int:
-    return check_count(severity, "severity", 1, 5)
+    return check_count(severity, "severity", SEVERITIES[0], SEVERITIES[-1])
 
 
 @dataclass(frozen=True)
@@ -324,7 +325,7 @@ def compose_random(
             slots.append((K.IDENTITY, 0))
             continue
         kind = family[rng.randint(len(family))]
-        severity = 1 + rng.randint(5)
+        severity = SEVERITIES[rng.randint(len(SEVERITIES))]
         out = apply_corruption(out, kind, severity, rng)
         slots.append((kind, severity))
     return out, CorruptionSpec(*slots)

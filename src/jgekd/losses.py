@@ -10,9 +10,14 @@ averaged over all N*N positions:
 The self-distillation variant compares the graphs of a sample and its
 corrupted twin through shared weights; the teacher variant compares the
 cross graph of the two student branches against the graph spanned by the
-smoothed label and a frozen teacher's prediction. All functions accept plain
-arrays or graph Nodes and return Nodes, so they can sit inside a training
-graph or be evaluated standalone via .value.
+smoothed label and a frozen teacher's prediction. A row sums to 1, so with
+H(p, r) = -sum_i p_i log r_i both collapse wherever no target entry falls
+under the 1e-12 clamp: jgeskd_loss(p, p') = (2/N^2) H(p, p'), and
+jgetkd_loss = (1/N^2) (H(ps, q~) + H(ps', pt)) for the smoothed label q~ and
+the teacher's pt. A clamped entry weighs log 1e-12 in place of the log of its
+product, and the log side takes no gradient through it. All functions accept
+plain arrays or graph Nodes and return Nodes, so they can sit inside a
+training graph or be evaluated standalone via .value.
 
 Every loss also takes a (B, N) stack of rows wherever it takes a vector, and
 then returns B losses, one per row, each bit for bit the loss of that row on

@@ -90,28 +90,6 @@ _POOL_KEYS = ("w1", "b1", "w2", "b2")
 _HEAD_KEYS = ("w3", "b3", "w4", "b4")
 
 
-def _param_rows(leaves, n_clouds) -> dict[str, Node]:
-    """Each parameter as n_clouds rows with one gradient row per cloud
-    (numerics.broadcast). Rows already broadcast to n_clouds pass through; a
-    shared leaf is broadcast here, and backward adds its rows into it one by
-    one in cloud order. Two calls on the same shared leaves each add their
-    own rows, in the order backward visits the two broadcasts."""
-    rows = {}
-    for key in PARAM_KEYS:
-        value = leaves[key].value
-        rank = 2 if key[0] == "w" else 1
-        if value.ndim == rank:
-            rows[key] = ng.broadcast(leaves[key], n_clouds)
-        elif value.ndim == rank + 1 and value.shape[0] == n_clouds and value.strides[0] == 0:
-            rows[key] = leaves[key]
-        else:
-            raise ShapeError(
-                "forward_nodes: %s of shape %s is neither shared nor broadcast to %d clouds"
-                % (key, value.shape, n_clouds)
-            )
-    return rows
-
-
 def _features(x, w1, b1, w2, b2):
     """The shared MLP and max pool on one cloud's (P, 3) points: the ReLU
     layer h1, the products a = h1 @ w2, and the embedding, the column maxima
@@ -136,7 +114,7 @@ def _classify(e, w3, b3, w4, b4):
     return h3, (h3 @ w4 + b4).reshape(len(e), -1)
 
 
-def _pool(points: Node, offsets, rows, batched) -> Node:
+def _pool(points: Node, offsets, rows) -> Node:
     """Shared MLP and max pool, one cloud at a time: (n_clouds, HIDDEN2).
 
     Every matmul over a cloud's points keeps that cloud's own shape: one
@@ -156,7 +134,6 @@ def _pool(points: Node, offsets, rows, batched) -> Node:
         kept.append((h1, a))
 
     def push(g):
-        g = g.reshape(embedding.shape)
         gw1, gb1, gw2, gb2 = (rows[key].adjoint for key in _POOL_KEYS)
         for s, (lo, hi) in enumerate(segments):
             h1, a = kept[s]
@@ -175,10 +152,10 @@ def _pool(points: Node, offsets, rows, batched) -> Node:
             gb1[s] += ga1.sum(axis=0)
 
     inputs = (points,) + tuple(rows[key] for key in _POOL_KEYS)
-    return Node(embedding if batched else embedding[0], inputs, push)
+    return Node(embedding, inputs, push)
 
 
-def _head(embedding: Node, n_clouds, rows, batched) -> Node:
+def _head(embedding: Node, n_clouds, rows) -> Node:
     """Classification head on all clouds at once: (n_clouds, n_classes).
     Backward adds the stacked per-cloud gradients into the rows' adjoints."""
     w3, b3, w4, b4 = head = [rows[key].value[0] for key in _HEAD_KEYS]
@@ -186,47 +163,48 @@ def _head(embedding: Node, n_clouds, rows, batched) -> Node:
     h3, logits = _classify(e, *head)
 
     def push(g):
-        g = g.reshape(logits.shape)
         a3 = h3[:, 0]
         ga3 = np.matmul(w4, g[:, :, None])[..., 0] * (a3 > 0.0)
-        embedding.adjoint += np.matmul(w3, ga3[:, :, None]).reshape(embedding.adjoint.shape)
+        embedding.adjoint += np.matmul(w3, ga3[:, :, None])[..., 0]
         rows["w3"].adjoint += e.transpose(0, 2, 1) * ga3[:, None, :]
         rows["b3"].adjoint += ga3
         rows["w4"].adjoint += a3[:, :, None] * g[:, None, :]
         rows["b4"].adjoint += g
 
     inputs = (embedding,) + tuple(rows[key] for key in _HEAD_KEYS)
-    return Node(logits if batched else logits[0], inputs, push)
+    return Node(logits, inputs, push)
 
 
-def forward_nodes(leaves: dict[str, Node], points: Node, offsets=None) -> tuple[Node, Node, Node]:
-    """The classifier as graph ops; returns (logits, probs, embedding) nodes.
+def forward_nodes(rows: dict[str, Node], points: Node, offsets) -> tuple[Node, Node, Node]:
+    """The classifier as graph ops on a ragged stack of clouds; returns
+    (logits, probs, embedding) nodes with one row per cloud, each of which
+    can take a gradient.
 
-    points holds one (P, 3) cloud, or, given offsets, a ragged stack of
-    clouds: cloud s is rows offsets[s]:offsets[s + 1]. A stack's outputs
-    gain a leading axis with one row per cloud. Every parameter enters the
-    two ops, the point features with their max pool and the head, as
-    per-cloud rows (numerics.broadcast): a shared leaf is broadcast on entry,
-    and _param_rows gives the order its rows are summed in. Each output can
-    take a gradient.
+    Cloud s is rows offsets[s]:offsets[s + 1] of the (sum P, 3) points.
+    Every parameter arrives as rows, numerics.broadcast(leaf, n_clouds). The
+    two ops, the point features with their max pool and the head, send cloud
+    s's gradient to row s, and backward adds the rows into the leaf one by
+    one in cloud order.
 
-    A stack gives each cloud bit for bit what a call on that cloud alone
-    gives: values, and gradients for the cloud and the parameters. Batching
+    Each cloud gets bit for bit what a stack of that cloud alone gets:
+    values, and gradients for the cloud and its parameter rows. Batching
     saves graph bookkeeping, not arithmetic.
     """
     x = points.value
     if x.ndim != 2:
         raise ShapeError("forward_nodes: need (points, 3) coordinates, got %s" % (x.shape,))
-    batched = offsets is not None
-    offsets = [ng.check_count(o, "offset") for o in offsets] if batched else [0, len(x)]
+    offsets = [ng.check_count(o, "offset") for o in offsets]
     if len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != len(x) or any(
         lo >= hi for lo, hi in zip(offsets, offsets[1:])
     ):
         raise ShapeError("forward_nodes: offsets %s do not split %d points into non-empty clouds" % (offsets, len(x)))
     n_clouds = len(offsets) - 1
-    rows = _param_rows(leaves, n_clouds)
-    embedding = _pool(points, offsets, rows, batched)
-    logits = _head(embedding, n_clouds, rows, batched)
+    for key in PARAM_KEYS:
+        value = rows[key].value
+        if value.ndim != (3 if key[0] == "w" else 2) or value.shape[0] != n_clouds or value.strides[0] != 0:
+            raise ShapeError("forward_nodes: %s of shape %s is not broadcast to %d clouds" % (key, value.shape, n_clouds))
+    embedding = _pool(points, offsets, rows)
+    logits = _head(embedding, n_clouds, rows)
     return logits, ng.softmax(logits), embedding
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from . import losses, numerics as ng
 from .corruptions import (
     BACKGROUND_EXCLUDED_KINDS,
+    SEVERITIES,
     CorruptionKind,
     compose_random,
     corrupt_samples,
@@ -337,7 +338,7 @@ def robustness_eval(
     samples,
     seed: int,
     kinds=None,
-    severities=(1, 2, 3, 4, 5),
+    severities=SEVERITIES,
 ) -> RobustnessTable:
     """Severity sweep: corrupt the set once per cell, evaluate both models on
     identical data, and report per-kind corruption error plus its mean."""

@@ -10,7 +10,8 @@ conversion code with the library; pointcloud.surface_points must match them
 bit for bit, clouds and end states. The per-op graph is the one the
 classifier used to be built from (affine, relu, reduce_max as separate
 nodes, one cloud at a time); model.forward_nodes must match it bit for bit,
-values and gradients.
+values and gradients. forward_stack, last, is no reference: it is the one
+way tests call model.forward_nodes on shared leaves.
 """
 
 import math
@@ -18,6 +19,7 @@ import math
 import numpy as np
 
 from jgekd import numerics as ng
+from jgekd.model import forward_nodes
 from jgekd.numerics import Node, ShapeError
 from jgekd.pointcloud import JITTER_STD
 
@@ -342,3 +344,13 @@ def classifier_nodes(leaves, points: Node):
     h3 = relu(affine(embedding, leaves["w3"], leaves["b3"]))
     logits = affine(h3, leaves["w4"], leaves["b4"])
     return logits, ng.softmax(logits), embedding
+
+
+def forward_stack(leaves, points: Node, offsets=None):
+    """model.forward_nodes with every parameter leaf broadcast to one row per
+    cloud; offsets default to one cloud of all the points. Each output has
+    one row per cloud, and backward adds a leaf's rows into it in cloud
+    order, as training's batches do."""
+    offsets = [0, len(points.value)] if offsets is None else offsets
+    rows = {key: ng.broadcast(leaf, len(offsets) - 1) for key, leaf in leaves.items()}
+    return forward_nodes(rows, points, offsets)

@@ -23,7 +23,7 @@ from jgekd.corruptions import (
     TRANSFORM_KINDS,
     apply_corruption,
 )
-from jgekd.model import PARAM_KEYS, forward, forward_nodes, init_params, save_params
+from jgekd.model import PARAM_KEYS, forward, init_params, save_params
 from jgekd.numerics import Rng, grad_check, split_seed
 from jgekd.pointcloud import generate_split
 from jgekd.training import TrainConfig, robustness_eval, train
@@ -109,20 +109,22 @@ def test_criterion_02_closed_forms():
 
 
 def _objective(strategy, leaves, clean, corrupted, q, teacher_probs):
-    """The per-sample training objective, rebuilt outside the trainer."""
-    _, p_clean, _ = forward_nodes(leaves, ng.leaf(clean))
-    _, p_prime, _ = forward_nodes(leaves, ng.leaf(corrupted))
+    """The per-sample training objective, rebuilt outside the trainer. Each
+    branch is a stack of one cloud, so q, the teacher's probabilities and
+    every term are one-row stacks."""
+    _, p_clean, _ = oracles.forward_stack(leaves, ng.leaf(clean))
+    _, p_prime, _ = oracles.forward_stack(leaves, ng.leaf(corrupted))
     ce = ng.add(
         ng.scale(losses.cross_entropy_smoothed(p_clean, q, 0.1), 0.5),
         ng.scale(losses.cross_entropy_smoothed(p_prime, q, 0.1), 0.5),
     )
     if strategy == "st":
-        kd = ng.leaf(0.0)
+        kd = ng.leaf(np.zeros(1))
     elif strategy == "skd":
         kd = losses.jgeskd_loss(p_clean, p_prime)
     else:
         kd = losses.jgetkd_loss(p_clean, p_prime, q, teacher_probs, 0.1)
-    return losses.total_loss(ce, kd, 1.0, 1.0)
+    return ng.reduce_sum(losses.total_loss(ce, kd, 1.0, 1.0))
 
 
 def test_criterion_03_objective_gradients():
@@ -138,9 +140,9 @@ def test_criterion_03_objective_gradients():
         teacher = init_params(split_seed(11, inst, 2), n_classes)
         clean = rng.normals(18).reshape(6, 3)
         corrupted = clean + 0.05 * rng.normals(18).reshape(6, 3)
-        q = np.zeros(n_classes)
-        q[rng.randint(n_classes)] = 1.0
-        teacher_probs = forward(teacher, clean).probs
+        q = np.zeros((1, n_classes))
+        q[0, rng.randint(n_classes)] = 1.0
+        teacher_probs = forward(teacher, clean).probs[None]
         blocks = params.blocks()
 
         def f(node, _strategy=strategy, _block=block, _blocks=blocks):

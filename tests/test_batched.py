@@ -30,8 +30,10 @@ def _stack(clouds):
 
 
 def _objective(weights, logits, probs, embedding):
-    """A scalar that sends a gradient into all three classifier outputs."""
-    u, v, w = (ng.leaf(x) for x in weights)
+    """A scalar that sends a gradient into all three classifier outputs.
+    Each weight takes its output's shape: a stack of one cloud or the
+    oracle's vectors weigh the same numbers."""
+    u, v, w = (ng.leaf(np.reshape(x, node.value.shape)) for x, node in zip(weights, (probs, logits, embedding)))
     terms = [ng.mul(probs, u), ng.mul(logits, v), ng.mul(embedding, w)]
     total = ng.reduce_sum(terms[0])
     for term in terms[1:]:
@@ -59,12 +61,13 @@ def test_batched_forward_nodes_equals_per_cloud_calls(seed):
 
     for s, cloud in enumerate(clouds):
         row_weights = tuple(w[s] for w in weights)
-        for build in (forward_nodes, oracles.classifier_nodes):
+        for build in (oracles.forward_stack, oracles.classifier_nodes):
             single_leaves = param_leaves(params)
             single_points = ng.leaf(cloud)
             single = build(single_leaves, single_points)
             for batched, alone in zip(outputs, single):
-                assert np.array_equal(batched.value[s], alone.value), (build.__name__, len(cloud))
+                row = batched.value[s : s + 1] if build is oracles.forward_stack else batched.value[s]
+                assert np.array_equal(row, alone.value), (build.__name__, len(cloud))
             ng.backward(_objective(row_weights, *single))
             for key in PARAM_KEYS:
                 assert np.array_equal(rows[key].adjoint[s], single_leaves[key].adjoint), (key, len(cloud))
@@ -125,7 +128,7 @@ def test_pool_ties_go_to_the_first_maximum():
     base = _clouds(3, (16,))[0]
     weights = tuple(w[0] for w in _weights(4, 1))
     grads = []
-    for build in (forward_nodes, oracles.classifier_nodes):
+    for build in (oracles.forward_stack, oracles.classifier_nodes):
         points = ng.leaf(np.vstack([base, base]))
         ng.backward(_objective(weights, *build(param_leaves(params), points)))
         grads.append(points.adjoint)
@@ -152,7 +155,7 @@ def test_pool_ties_are_taken_after_the_bias():
     assert np.argmax(np.maximum(cloud @ params.w1, 0.0) @ params.w2, axis=0)[C] == 1
     weights = tuple(w[0] for w in _weights(7, 1))
     grads = []
-    for build in (forward_nodes, oracles.classifier_nodes):
+    for build in (oracles.forward_stack, oracles.classifier_nodes):
         points = ng.leaf(cloud)
         ng.backward(_objective(weights, *build(param_leaves(params), points)))
         grads.append(points.adjoint)
@@ -160,39 +163,31 @@ def test_pool_ties_are_taken_after_the_bias():
     assert grads[0].tobytes() == grads[1].tobytes()
 
 
-def test_shared_leaves_take_the_summed_gradient():
-    params = init_params(4, N_CLASSES)
-    clouds = _clouds(4, (5, 9, 1))
-    weights = _weights(5, len(clouds))
-    stacked, offsets = _stack(clouds)
-    shared = param_leaves(params)
-    ng.backward(_objective(weights, *forward_nodes(shared, ng.leaf(stacked), offsets)))
-    leaves = param_leaves(params)
-    rows = {key: ng.broadcast(leaf, len(clouds)) for key, leaf in leaves.items()}
-    ng.backward(_objective(weights, *forward_nodes(rows, ng.leaf(stacked), offsets)))
-    for key in PARAM_KEYS:
-        assert np.array_equal(shared[key].adjoint, leaves[key].adjoint), key
-
-
 def test_forward_nodes_rejects_bad_offsets_and_rows():
     params = init_params(0, N_CLASSES)
     leaves = param_leaves(params)
+
+    def rows(n):
+        return {key: ng.broadcast(leaf, n) for key, leaf in leaves.items()}
+
     points = ng.leaf(np.zeros((5, 3)))
     for offsets in ([0, 5, 5], [1, 5], [0, 4], [0], [0, 3, 2, 5]):
         with pytest.raises(ShapeError):
-            forward_nodes(leaves, points, offsets)
+            forward_nodes(rows(max(len(offsets) - 1, 1)), points, offsets)
     with pytest.raises(ShapeError):
-        forward_nodes(leaves, ng.leaf(np.zeros((0, 3))))
+        forward_nodes(rows(1), ng.leaf(np.zeros((0, 3))), [0, 0])
     # An offset is an integer: 2.5 must not be truncated into a valid split.
     with pytest.raises(ValueError, match="offset"):
-        forward_nodes(leaves, points, [0, 2.5, 5])
-    rows = dict(leaves, w2=ng.broadcast(leaves["w2"], 3))
+        forward_nodes(rows(2), points, [0, 2.5, 5])
     with pytest.raises(ShapeError):
-        forward_nodes(rows, points, [0, 2, 5])
+        forward_nodes(dict(rows(2), w2=ng.broadcast(leaves["w2"], 3)), points, [0, 2, 5])
     # One weight set per cloud is not a batch of one model.
-    stacked = dict(leaves, w2=ng.leaf(np.stack([params.w2, params.w2])))
+    stacked = dict(rows(2), w2=ng.leaf(np.stack([params.w2, params.w2])))
     with pytest.raises(ShapeError):
         forward_nodes(stacked, points, [0, 2, 5])
+    # A shared leaf is not broadcast on entry.
+    with pytest.raises(ShapeError, match="b3"):
+        forward_nodes(dict(rows(2), b3=leaves["b3"]), points, [0, 2, 5])
 
 
 @pytest.mark.parametrize("key", ["w1", "b1", "b2", "w3", "b3", "w4", "b4", "points"])

@@ -406,14 +406,30 @@ def test_eval_writes_reports(overfit_run, dataset, tmp_path):
 
 
 @pytest.mark.parametrize("n_classes", [10, 4])
-def test_eval_rejects_a_model_with_another_class_count(dataset, tmp_path, capsys, n_classes):
-    model = tmp_path / "model.jgp"
-    save_params(str(model), init_params(0, n_classes))
-    out = tmp_path / "ev"
-    code = main(["eval", "--model", str(model), "--data", dataset["test"], "--out", str(out)])
-    assert code == EXIT_VALIDATION
-    assert "model has %d classes, %s lists 8" % (n_classes, dataset["test"]) in capsys.readouterr().err
-    assert not out.exists()
+def test_eval_rejects_a_model_with_another_class_count(overfit_run, dataset, tmp_path, capsys, n_classes):
+    # One row per checkpoint role that must fit the 8-class split: eval's
+    # model, robustness' model, reference or both, and correlation's model.
+    # Each must exit 2 naming both counts before it writes anything.
+    bad = str(tmp_path / "model.jgp")
+    save_params(bad, init_params(0, n_classes))
+    good = os.path.join(overfit_run, "model.jgp")
+    test, train = dataset["test"], dataset["train"]
+    table = {
+        "eval": ("model", test, ["eval", "--model", bad]),
+        "robustness-model": ("model", test, ["robustness", "--model", bad, "--ref", good]),
+        "robustness-ref": ("reference", test, ["robustness", "--model", good, "--ref", bad]),
+        "robustness-both": ("model", test, ["robustness", "--model", bad, "--ref", bad]),
+        "correlation": ("model", train, ["correlation", "--model", bad, "--samples-per-class", str(PER_TRAIN)]),
+    }
+    failed = []
+    for row, (role, data, argv) in table.items():
+        out = tmp_path / row
+        capsys.readouterr()
+        code = main(argv + ["--data", data, "--out", str(out)])
+        err = capsys.readouterr().err
+        if code != EXIT_VALIDATION or "%s has %d classes, %s lists 8" % (role, n_classes, data) not in err or out.exists():
+            failed.append((row, code, err.strip(), out.exists()))
+    assert not failed, "\n".join(map(repr, failed))
 
 
 def test_eval_overfit_train_at_least_test(overfit_run, dataset, tmp_path):
@@ -521,7 +537,7 @@ def test_robustness_rejects_a_reference_with_another_class_count(overfit_run, da
         ]
     )
     assert code == EXIT_VALIDATION
-    assert "model has 8 classes, reference has 10" in capsys.readouterr().err
+    assert "reference has 10 classes, %s lists 8" % dataset["test"] in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,8 +1,10 @@
 """Golden sha256 hashes of the artifacts that identical commands must keep
 reproducing byte for byte: a generated MiniShapes tree, the clouds of every
 class at 8, 64 and 1024 points, the tree `jgekd gen-data` writes at its
-defaults, the checkpoints of short st, skd and tkd runs, a robustness table,
-and the outputs of every evaluation corruption and of random composition.
+defaults, the checkpoints of short st, skd and tkd runs, the text reports of
+those runs and of `eval`, `robustness` and `correlation`, a robustness
+table, and the outputs of every evaluation corruption and of random
+composition.
 
 The determinism tests elsewhere compare two runs of the same code; these
 hashes also catch drift between versions. A change that alters float
@@ -45,7 +47,22 @@ GOLDEN = {
     "shapes_8": "0a5bc21d4e0da1dbf34678a505b684a6d64f975006a75761c8d524339b1a6584",
     "shapes_64": "137b8852f424c100a8ab8d4be525be20abd97ddc1fbd62793be366df86b530c3",
     "shapes_1024": "2945fdcca9fa0cbe21a4df153a5fb2862261a091041932127cac6b66a749d52b",
+    "reports_st": "b19022f1bab108e67bc880f3028d660c24292ce25b2010824765c398e92b9064",
+    "reports_skd": "6874e545fbcc80d30822092d7b7df1b8dbf171c15f2ce12e9b4fec19fa78127d",
+    "reports_tkd": "9364cefa40f1853d6e0c2c64f036210003481a9011d38dd2288f688f460f185c",
+    "reports_eval": "63a35d8e0ebdb9ebcc1c4ec3187357672d23e4a40933626576d20422d4d4792c",
+    "reports_robustness": "599607888f7bf01b0691ae226c2c2e0b25003664dcb353f1bed91a28151a9f88",
+    "reports_correlation": "1bbf039c593a5e5a67d420d903492e1e121b8f4bdacf66811258b3f4032002c6",
 }
+
+# The CLI runs whose text reports are hashed: the three training runs write
+# metrics.json and history.csv, and the last three runs read their models.
+# Correlation runs on the train split, the one with 4 clouds per class.
+REPORT_RUNS = ("st", "skd", "tkd", "eval", "robustness", "correlation")
+
+# The reports embed the paths they were given, which sit under the fixture's
+# tmp root; the root is replaced by this token before hashing.
+ROOT_TOKEN = "<root>"
 
 # Seeds of the per-class clouds behind the shapes_<n> hashes. 1024 points is
 # the robustness benchmark's cloud size, which the 32-point tree never reaches.
@@ -127,7 +144,14 @@ def runs(tmp_path_factory):
             argv += ["--teacher", models["skd"]]
         assert main(argv) == EXIT_OK
         models[strategy] = str(out / "model.jgp")
-    return {"data": str(data), "test": test_manifest, "models": models}
+    for command, data_manifest, extra in (
+        ("eval", test_manifest, []),
+        ("robustness", test_manifest, ["--ref", models["st"]]),
+        ("correlation", train_manifest, ["--samples-per-class", str(PER_TRAIN)]),
+    ):
+        argv = [command, "--model", models["skd"], "--data", data_manifest, "--out", str(root / command)]
+        assert main(argv + extra) == EXIT_OK
+    return {"root": str(root), "data": str(data), "test": test_manifest, "models": models}
 
 
 def test_generated_dataset_hash(runs):
@@ -138,6 +162,19 @@ def test_generated_dataset_hash(runs):
 def test_checkpoint_hash(runs, strategy):
     with open(runs["models"][strategy], "rb") as fh:
         assert _sha256(fh.read()) == GOLDEN["model_" + strategy]
+
+
+@pytest.mark.parametrize("run", REPORT_RUNS)
+def test_report_hash(runs, run):
+    out = os.path.join(runs["root"], run)
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(out)):
+        if name.endswith(".jgp"):
+            continue
+        with open(os.path.join(out, name), encoding="utf-8") as fh:
+            text = fh.read().replace(runs["root"], ROOT_TOKEN)
+        digest.update(name.encode() + b"\0" + text.encode() + b"\0")
+    assert digest.hexdigest() == GOLDEN["reports_" + run]
 
 
 def test_robustness_table_hash(runs):

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from jgekd import numerics as ng
+from jgekd.numerics import LOG_FLOOR
 from jgekd.losses import (
     cross_entropy_smoothed,
     cross_joint_graph,
@@ -335,6 +336,59 @@ def test_total_loss_rejects_negative_coefficients():
         total_loss(ce, kd, 1.0, -0.5)
 
 
+# --- the rank-one identity ---
+
+# A probability row sums to 1, so sum_ij p_i p_j log(p'_i p'_j) is
+# 2 sum_i p_i log p'_i. With H(p, r) = -sum_i p_i log r_i, that makes
+# jgeskd_loss(p, p') = (2/N^2) H(p, p') wherever no product p'_i p'_j falls
+# under LOG_FLOOR, and jgetkd_loss = (1/N^2) (H(ps, q~) + H(ps', pt)) wherever
+# no q~_i pt_j does. A clamped entry weighs log LOG_FLOOR in place of
+# log(p'_i p'_j), which adds p_i p_j (log(p'_i p'_j) - log LOG_FLOOR) / N^2.
+#
+# The fsum oracle rounds each of its terms once. The loss also rounds each
+# product p'_i p'_j before its log, an absolute error of up to one epsilon
+# per entry of weight p_i p_j, so the bound is in ulps of
+# (sum |terms| + 1) / N^2. 20,000 draws on four seeds stayed within 4.
+RANK_ONE_ULPS = 8
+RANK_ONE_CLASSES = 8
+
+
+def _rank_one_ulps(got, terms):
+    n2 = RANK_ONE_CLASSES**2
+    want = math.fsum(terms) / n2
+    return abs(float(got.value) - want) / np.spacing((math.fsum(map(abs, terms)) + 1.0) / n2)
+
+
+def _cross_entropy_terms(p, r):
+    return [-a * math.log(b) for a, b in zip(p, r)]
+
+
+def test_rank_one_identity():
+    n = RANK_ONE_CLASSES
+    rng = np.random.default_rng(31)
+    counts = {"skd": 0, "skd_clamped": 0, "tkd": 0}
+    for _ in range(2000):
+        p, p_prime, p_teacher = (ng.softmax_values(rng.normal(size=n) * rng.uniform(0.1, 8.0)) for _ in range(3))
+        q = np.zeros(n)
+        q[rng.integers(n)] = 1.0
+
+        terms = [2.0 * t for t in _cross_entropy_terms(p, p_prime)]
+        clamped = [(i, j) for i in range(n) for j in range(n) if p_prime[i] * p_prime[j] < LOG_FLOOR]
+        for i, j in clamped:
+            w = p[i] * p[j]
+            terms += [w * math.log(p_prime[i]), w * math.log(p_prime[j]), -w * math.log(LOG_FLOOR)]
+        assert _rank_one_ulps(jgeskd_loss(p, p_prime), terms) <= RANK_ONE_ULPS, (p, p_prime)
+        counts["skd_clamped" if clamped else "skd"] += 1
+
+        q_smooth = smooth_labels(q, 0.1)
+        if all(a * b >= LOG_FLOOR for a in q_smooth for b in p_teacher):
+            terms = _cross_entropy_terms(p, q_smooth) + _cross_entropy_terms(p_prime, p_teacher)
+            assert _rank_one_ulps(jgetkd_loss(p, p_prime, q, p_teacher, 0.1), terms) <= RANK_ONE_ULPS
+            counts["tkd"] += 1
+    # Logit scales 0.1 to 8 put about a third of the pairs under the clamp.
+    assert min(counts.values()) >= 500, counts
+
+
 # --- loss-level gradient checks ---
 
 
@@ -387,9 +441,10 @@ def _simplex_grid(step=0.01):
 
 
 def test_gibbs_minimum_at_matching_distribution():
-    # "nearest" in the divergence the loss induces (KL), not Euclidean: the
-    # loss over rank-one graphs collapses to (2/9)*CE(p, q), whose level
-    # sets near p are Fisher ellipsoids; see the decisions ledger
+    # "nearest" in the divergence the loss induces (KL), not Euclidean: by
+    # the rank-one identity (test_rank_one_identity) the loss at N = 3 is
+    # (2/9) * H(p, g) away from the clamp, and the g that minimizes the cross
+    # entropy H(p, g) is the one that minimizes KL(p || g)
     grid = _simplex_grid()
     kl = -np.log(np.clip(grid, 1e-12, 1.0))
     rng = np.random.default_rng(12)

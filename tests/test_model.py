@@ -15,7 +15,6 @@ from jgekd.model import (
     ModelParams,
     block_shapes,
     forward,
-    forward_nodes,
     init_params,
     load_params,
     param_leaves,
@@ -111,16 +110,16 @@ def test_forward_equals_forward_nodes_without_a_graph(n_points, monkeypatch):
     else:
         clouds = [np.random.default_rng(n_points).normal(size=(n_points, 3))]
     offsets = np.cumsum([0] + [len(c) for c in clouds]).tolist()
-    stacked = forward_nodes(param_leaves(params), ng.leaf(np.concatenate(clouds)), offsets)
+    stacked = oracles.forward_stack(param_leaves(params), ng.leaf(np.concatenate(clouds)), offsets)
     built, init = [], ng.Node.__init__
     monkeypatch.setattr(ng.Node, "__init__", lambda self, *a: built.append(self) or init(self, *a))
     outs = [forward(params, cloud) for cloud in clouds]
     monkeypatch.undo()
     assert built == []
     for s, (cloud, out) in enumerate(zip(clouds, outs)):
-        alone = forward_nodes(param_leaves(params), ng.leaf(cloud))
+        alone = oracles.forward_stack(param_leaves(params), ng.leaf(cloud))
         for got, single, row in zip((out.logits, out.probs, out.embedding), alone, stacked):
-            assert np.array_equal(got, single.value) and np.array_equal(got, row.value[s]), len(cloud)
+            assert np.array_equal(got, single.value[0]) and np.array_equal(got, row.value[s]), len(cloud)
 
 
 @pytest.fixture(scope="module")
@@ -226,10 +225,10 @@ def test_mean_cross_entropy_grad_per_block():
             }
             terms = []
             for cloud, label in zip(clouds, labels):
-                q = np.zeros(4)
-                q[label] = 1.0
-                _, probs, _ = forward_nodes(leaves, ng.leaf(cloud))
-                terms.append(cross_entropy_smoothed(probs, q, 0.1))
+                q = np.zeros((1, 4))
+                q[0, label] = 1.0
+                _, probs, _ = oracles.forward_stack(leaves, ng.leaf(cloud))
+                terms.append(ng.reduce_sum(cross_entropy_smoothed(probs, q, 0.1)))
             total = terms[0]
             for t in terms[1:]:
                 total = ng.add(total, t)
