@@ -24,6 +24,7 @@ from .corruptions import (
     parse_kind,
 )
 from .model import CheckpointFormatError, load_params, save_params
+from .numerics import blas_threads
 from .pointcloud import CloudFormatError, generate_minishapes, load_dataset, write_atomic
 from .training import NumericalError, TrainConfig
 
@@ -39,10 +40,10 @@ def _write(path, text: str) -> None:
     write_atomic(path, text.encode("utf-8"))
 
 
-def _check_class_count(params, role: str, manifest, data) -> None:
-    """A checkpoint fits a split only if it has the split's class count."""
-    if params.n_classes != len(manifest.class_names):
-        raise ValueError("%s has %d classes, %s lists %d" % (role, params.n_classes, data, len(manifest.class_names)))
+def _check_class_count(n_classes: int, role: str, manifest, data) -> None:
+    """A model fits a split only if it has the split's class count."""
+    if n_classes != len(manifest.class_names):
+        raise ValueError("%s has %d classes, %s lists %d" % (role, n_classes, data, len(manifest.class_names)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +141,7 @@ def _cmd_train(args) -> int:
     _, test_samples = load_dataset(config.test_data)
     if config.n_classes is None:
         config.n_classes = len(manifest.class_names)
+    _check_class_count(config.n_classes, "model", manifest, config.train_data)
     resolved = config.to_dict()
     print("config: %s" % json.dumps(resolved, sort_keys=True))
     params, report = training.train(config, train_samples, test_samples)
@@ -154,8 +156,9 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     params = load_params(args.model)
     manifest, samples = load_dataset(args.data)
-    _check_class_count(params, "model", manifest, args.data)
-    report = training.evaluate(params, samples)
+    _check_class_count(params.n_classes, "model", manifest, args.data)
+    with blas_threads(1):
+        report = training.evaluate(params, samples)
     resolved = {"model": args.model, "data": args.data}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -172,8 +175,8 @@ def _cmd_robustness(args) -> int:
     params = load_params(args.model)
     ref_params = load_params(args.ref)
     manifest, samples = load_dataset(args.data)
-    _check_class_count(params, "model", manifest, args.data)
-    _check_class_count(ref_params, "reference", manifest, args.data)
+    _check_class_count(params.n_classes, "model", manifest, args.data)
+    _check_class_count(ref_params.n_classes, "reference", manifest, args.data)
     kinds = ALL_EVAL_KINDS if args.with_background else BACKGROUND_EXCLUDED_KINDS
     table = training.robustness_eval(params, ref_params, samples, args.seed, kinds=kinds)
     resolved = {
@@ -193,8 +196,9 @@ def _cmd_robustness(args) -> int:
 def _cmd_correlation(args) -> int:
     params = load_params(args.model)
     manifest, samples = load_dataset(args.data)
-    _check_class_count(params, "model", manifest, args.data)
-    matrix = training.class_correlation(params, samples, args.samples_per_class)
+    _check_class_count(params.n_classes, "model", manifest, args.data)
+    with blas_threads(1):
+        matrix = training.class_correlation(params, samples, args.samples_per_class)
     os.makedirs(args.out, exist_ok=True)
     resolved = {"model": args.model, "data": args.data, "samples_per_class": args.samples_per_class}
     _write(

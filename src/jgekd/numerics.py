@@ -1,5 +1,6 @@
-"""Dense float64 graph arithmetic with reverse-mode gradients, plus a
-reproducible PCG32 random stream.
+"""Dense float64 graph arithmetic with reverse-mode gradients, a
+reproducible PCG32 random stream, and the one lookup of numpy's OpenBLAS
+(its thread count and the kernel it runs).
 
 Everything downstream (shape generation, corruption, the classifier, the
 distillation losses) runs on these primitives, so the whole pipeline is
@@ -8,7 +9,11 @@ deterministic given a seed and differentiable where it needs to be.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 
 import numpy as np
 
@@ -486,33 +491,69 @@ def backward(root: Node) -> dict[Node, np.ndarray]:
     return {node: node.adjoint for node in order}
 
 
-def grad_check(f, x, h: float = 1e-6) -> float:
-    """Compare f's analytic gradient at x against central differences.
+# ---------------------------------------------------------------------------
+# OpenBLAS
+# ---------------------------------------------------------------------------
 
-    f takes one leaf Node and returns a scalar Node. Returns the max over
-    coordinates of |analytic - numeric| / max(1e-8, |numeric|).
+
+@functools.cache
+def _openblas():
+    """The OpenBLAS that numpy's wheel bundles in numpy.libs, or None.
+
+    Looked up on first use, never at import. Opening the library numpy has
+    already loaded returns that same copy, so its settings are numpy's.
     """
-    if h <= 0.0:
-        raise ValueError("grad_check: h must be positive")
-    x0 = np.array(x, dtype=np.float64)
-    probe = leaf(x0)
-    root = f(probe)
-    if root.value.ndim != 0:
-        raise ShapeError("grad_check: f must be scalar-valued, got shape %s" % (root.value.shape,))
-    backward(root)
-    # A probe that root never reaches gets no adjoint: its gradient is zero.
-    analytic = np.zeros_like(x0) if probe.adjoint is None else probe.adjoint.copy()
+    import glob
 
-    numeric = np.zeros_like(x0)
-    flat = numeric.reshape(-1)
-    for i in range(x0.size):
-        xp = x0.copy()
-        xp.reshape(-1)[i] += h
-        xm = x0.copy()
-        xm.reshape(-1)[i] -= h
-        fp = float(f(leaf(xp)).value)
-        fm = float(f(leaf(xm)).value)
-        flat[i] = (fp - fm) / (2.0 * h)
+    libs_dir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    libs = sorted(glob.glob(os.path.join(libs_dir, "libscipy_openblas*")))
+    return ctypes.CDLL(libs[0]) if libs else None
 
-    err = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(numeric))
-    return float(np.max(err)) if err.size else 0.0
+
+def _openblas_fn(name: str, restype, argtypes=()):
+    """OpenBLAS's function scipy_openblas_<name>64_, or None where the
+    library or the symbol is missing."""
+    fn = getattr(_openblas(), "scipy_openblas_%s64_" % name, None)
+    if fn is not None:
+        fn.restype = restype
+        fn.argtypes = list(argtypes)
+    return fn
+
+
+def openblas_info() -> dict[str, str]:
+    """OpenBLAS's runtime core, thread count and build config as text, each
+    "unknown" where it cannot be asked. The core is the kernel OpenBLAS
+    picked on this CPU, which numpy's build config does not name."""
+    info = {}
+    for key, name, restype in (
+        ("core", "get_corename", ctypes.c_char_p),
+        ("threads", "get_num_threads", ctypes.c_int),
+        ("config", "get_config", ctypes.c_char_p),
+    ):
+        fn = _openblas_fn(name, restype)
+        value = "unknown" if fn is None else fn()
+        info[key] = value.decode() if isinstance(value, bytes) else str(value)
+    return info
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Run the body with OpenBLAS at n threads, then restore the old count,
+    also when the body raises. Yields whether the count was set: where numpy
+    has no OpenBLAS with a thread setter this does nothing and yields False.
+
+    The count changes no result (one and two threads give the same bytes on
+    every product here); at 1024 points a second thread only costs time.
+    """
+    n = check_count(n, "threads", 1)
+    setter = _openblas_fn("set_num_threads", None, [ctypes.c_int])
+    getter = _openblas_fn("get_num_threads", ctypes.c_int)
+    if setter is None or getter is None:
+        yield False
+        return
+    old = getter()
+    setter(n)
+    try:
+        yield True
+    finally:
+        setter(old)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -341,7 +343,12 @@ def robustness_eval(
     severities=SEVERITIES,
 ) -> RobustnessTable:
     """Severity sweep: corrupt the set once per cell, evaluate both models on
-    identical data, and report per-kind corruption error plus its mean."""
+    identical data, and report per-kind corruption error plus its mean.
+
+    OpenBLAS runs one thread throughout. Where the host has a second CPU and
+    fork, the cells are split between two processes (_split_cells); the
+    table is the same bytes either way.
+    """
     if params.n_classes != ref_params.n_classes:
         raise ValueError("model has %d classes, reference has %d" % (params.n_classes, ref_params.n_classes))
     kinds = tuple(BACKGROUND_EXCLUDED_KINDS if kinds is None else kinds)
@@ -349,16 +356,90 @@ def robustness_eval(
     if not kinds or not severities:
         raise ValueError("a robustness sweep needs at least one kind and one severity")
     base = [LabeledCloud(normalize_unit_sphere(s.points), s.label) for s in samples]
-    oa_model: dict = {}
-    oa_ref: dict = {}
-    for kind in kinds:
-        oa_model[kind] = {}
-        oa_ref[kind] = {}
-        for severity in severities:
-            corrupted = corrupt_samples(base, kind, severity, seed)
-            oa_model[kind][severity] = evaluate(params, corrupted).overall_accuracy
-            oa_ref[kind][severity] = evaluate(ref_params, corrupted).overall_accuracy
+
+    def run_cell(cell):
+        kind, severity = cell
+        corrupted = corrupt_samples(base, kind, severity, seed)
+        model_oa = evaluate(params, corrupted).overall_accuracy
+        ref_oa = evaluate(ref_params, corrupted).overall_accuracy
+        return kind, severity, model_oa, ref_oa
+
+    cells = [(kind, severity) for kind in kinds for severity in severities]
+    with ng.blas_threads(1) as pinned:
+        if pinned and len(cells) > 1 and hasattr(os, "fork") and _usable_cpus() > 1:
+            results = _split_cells(run_cell, cells)
+        else:
+            results = [run_cell(cell) for cell in cells]
+    oa_model: dict = {kind: {} for kind in kinds}
+    oa_ref: dict = {kind: {} for kind in kinds}
+    for kind, severity, model_oa, ref_oa in results:
+        oa_model[kind][severity] = model_oa
+        oa_ref[kind][severity] = ref_oa
     return build_robustness_table(kinds, severities, oa_model, oa_ref)
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _split_cells(run_cell, cells) -> list:
+    """[run_cell(c) for c in cells] with cells[1::2] run in one forked child.
+
+    The parent runs cells[0::2] meanwhile. Interleaving balances the two,
+    since one kind's corruption can cost 40 times another's. Each cell is a
+    pure function of its inputs, so where it runs changes no bit. The child
+    pickles its results (or its exception) through a pipe and leaves by
+    os._exit, so it runs none of the parent's exit handlers. The parent
+    reaps the child on every path and kills it first when its own cells
+    raise.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(_child_payload(run_cell, cells[1::2]))
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            mine = [run_cell(cell) for cell in cells[0::2]]
+            payload = pipe.read()
+    except BaseException:
+        import signal  # not loaded at start-up, and only this path needs it
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not payload:
+        raise RuntimeError("the sweep's child process ended (wait status %d) without sending its cells" % status)
+    ok, theirs = pickle.loads(payload)
+    if not ok:
+        if isinstance(theirs, BaseException):
+            raise theirs
+        raise RuntimeError("%s in the sweep's child process: %s" % theirs)
+    results = [None] * len(cells)
+    results[0::2] = mine
+    results[1::2] = theirs
+    return results
+
+
+def _child_payload(run_cell, cells) -> bytes:
+    """The pickled (True, results) of the child's cells, or (False, error):
+    the exception itself where it survives a pickle round trip, else its
+    type name and message."""
+    try:
+        return pickle.dumps((True, [run_cell(cell) for cell in cells]))
+    except Exception as exc:
+        try:
+            payload = pickle.dumps((False, exc))
+            pickle.loads(payload)
+            return payload
+        except Exception:
+            return pickle.dumps((False, (type(exc).__name__, str(exc))))
 
 
 def welch_t(a, b) -> float:

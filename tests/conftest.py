@@ -3,35 +3,21 @@
 The golden hashes hold only under the BLAS kernel and numpy dispatch level
 they were recorded with (README, Reproducibility). numpy's build config names
 the kernel it was built for, not the one OpenBLAS picked on this CPU, so the
-header asks the loaded library itself. Nothing here imports jgekd, draws a
-random number or skips a test.
+header asks the loaded library itself, through the package's one OpenBLAS
+lookup (`jgekd.numerics.openblas_info`). Nothing here draws a random number
+or skips a test.
 """
-
-import ctypes
-import glob
-import os
 
 import numpy as np
 
+from jgekd.numerics import openblas_info
+
 
 def _openblas_lines():
-    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "libscipy_openblas*"))
-    lib = ctypes.CDLL(libs[0]) if libs else None
-
-    def query(name, restype):
-        fn = getattr(lib, name, None)
-        if fn is None:
-            return "unknown"
-        fn.restype = restype
-        value = fn()
-        return value.decode() if isinstance(value, bytes) else value
-
+    info = openblas_info()
     return [
-        "openblas core: %s, threads: %s" % (
-            query("scipy_openblas_get_corename64_", ctypes.c_char_p),
-            query("scipy_openblas_get_num_threads64_", ctypes.c_int),
-        ),
-        "openblas config: %s" % query("scipy_openblas_get_config64_", ctypes.c_char_p),
+        "openblas core: %s, threads: %s" % (info["core"], info["threads"]),
+        "openblas config: %s" % info["config"],
     ]
 
 

@@ -78,6 +78,41 @@ def vanilla_kd(p_s, p_t):
     return math.fsum(terms)
 
 
+# Central differences: the reference for every analytic gradient.
+
+
+def grad_check(f, x, h: float = 1e-6) -> float:
+    """Compare f's analytic gradient at x against central differences.
+
+    f takes one leaf Node and returns a scalar Node. Returns the max over
+    coordinates of |analytic - numeric| / max(1e-8, |numeric|).
+    """
+    if h <= 0.0:
+        raise ValueError("grad_check: h must be positive")
+    x0 = np.array(x, dtype=np.float64)
+    probe = ng.leaf(x0)
+    root = f(probe)
+    if root.value.ndim != 0:
+        raise ShapeError("grad_check: f must be scalar-valued, got shape %s" % (root.value.shape,))
+    ng.backward(root)
+    # A probe that root never reaches gets no adjoint: its gradient is zero.
+    analytic = np.zeros_like(x0) if probe.adjoint is None else probe.adjoint.copy()
+
+    numeric = np.zeros_like(x0)
+    flat = numeric.reshape(-1)
+    for i in range(x0.size):
+        xp = x0.copy()
+        xp.reshape(-1)[i] += h
+        xm = x0.copy()
+        xm.reshape(-1)[i] -= h
+        fp = float(f(ng.leaf(xp)).value)
+        fm = float(f(ng.leaf(xm)).value)
+        flat[i] = (fp - fm) / (2.0 * h)
+
+    err = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(numeric))
+    return float(np.max(err)) if err.size else 0.0
+
+
 def splitmix64(z):
     mask = (1 << 64) - 1
     z &= mask

@@ -24,7 +24,7 @@ from jgekd.corruptions import (
     apply_corruption,
 )
 from jgekd.model import PARAM_KEYS, forward, init_params, save_params
-from jgekd.numerics import Rng, grad_check, split_seed
+from jgekd.numerics import Rng, split_seed
 from jgekd.pointcloud import generate_split
 from jgekd.training import TrainConfig, robustness_eval, train
 
@@ -150,7 +150,7 @@ def test_criterion_03_objective_gradients():
             leaves[_block] = node
             return _objective(_strategy, leaves, clean, corrupted, q, teacher_probs)
 
-        err = grad_check(f, blocks[block], h=1e-6)
+        err = oracles.grad_check(f, blocks[block], h=1e-6)
         worst = max(worst, err)
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-4 and elapsed < 30.0

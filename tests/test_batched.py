@@ -11,7 +11,7 @@ import oracles
 from jgekd import losses
 from jgekd import numerics as ng
 from jgekd.model import PARAM_KEYS, forward_nodes, init_params, param_leaves
-from jgekd.numerics import ShapeError, grad_check
+from jgekd.numerics import ShapeError
 
 N_CLASSES = 8
 # 1 point is a 1-row product; 8 is the MIN_SURVIVORS floor; 37 rows or fewer
@@ -209,7 +209,7 @@ def test_grad_check_through_a_batched_call(key):
         return ng.reduce_sum(ng.mul(probs, v))
 
     x = stacked if key == "points" else getattr(params, key)
-    assert grad_check(f, x) <= 1e-4
+    assert oracles.grad_check(f, x) <= 1e-4
 
 
 def _rows(rng, b, n):

@@ -407,25 +407,33 @@ def test_eval_writes_reports(overfit_run, dataset, tmp_path):
 
 @pytest.mark.parametrize("n_classes", [10, 4])
 def test_eval_rejects_a_model_with_another_class_count(overfit_run, dataset, tmp_path, capsys, n_classes):
-    # One row per checkpoint role that must fit the 8-class split: eval's
-    # model, robustness' model, reference or both, and correlation's model.
+    # One row per model that must fit the 8-class split: eval's model,
+    # robustness' model, reference or both, correlation's model, and the
+    # model train would build from --n-classes or a config file's n_classes.
     # Each must exit 2 naming both counts before it writes anything.
     bad = str(tmp_path / "model.jgp")
     save_params(bad, init_params(0, n_classes))
+    config = tmp_path / "n_classes.cfg"
+    config.write_text("n_classes = %d\n" % n_classes)
     good = os.path.join(overfit_run, "model.jgp")
     test, train = dataset["test"], dataset["train"]
+    train_run = ["train", "--epochs", "1", "--train-data", train, "--test-data", test]
     table = {
-        "eval": ("model", test, ["eval", "--model", bad]),
-        "robustness-model": ("model", test, ["robustness", "--model", bad, "--ref", good]),
-        "robustness-ref": ("reference", test, ["robustness", "--model", good, "--ref", bad]),
-        "robustness-both": ("model", test, ["robustness", "--model", bad, "--ref", bad]),
-        "correlation": ("model", train, ["correlation", "--model", bad, "--samples-per-class", str(PER_TRAIN)]),
+        "eval": ("model", test, ["eval", "--model", bad, "--data", test]),
+        "robustness-model": ("model", test, ["robustness", "--model", bad, "--ref", good, "--data", test]),
+        "robustness-ref": ("reference", test, ["robustness", "--model", good, "--ref", bad, "--data", test]),
+        "robustness-both": ("model", test, ["robustness", "--model", bad, "--ref", bad, "--data", test]),
+        "correlation": (
+            "model", train, ["correlation", "--model", bad, "--data", train, "--samples-per-class", str(PER_TRAIN)]
+        ),
+        "train-flag": ("model", train, train_run + ["--n-classes", str(n_classes)]),
+        "train-config": ("model", train, train_run + ["--config", str(config)]),
     }
     failed = []
     for row, (role, data, argv) in table.items():
         out = tmp_path / row
         capsys.readouterr()
-        code = main(argv + ["--data", data, "--out", str(out)])
+        code = main(argv + ["--out", str(out)])
         err = capsys.readouterr().err
         if code != EXIT_VALIDATION or "%s has %d classes, %s lists 8" % (role, n_classes, data) not in err or out.exists():
             failed.append((row, code, err.strip(), out.exists()))

@@ -1,11 +1,12 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
 import oracles
 from jgekd import numerics as ng
-from jgekd.numerics import Node, Rng, ShapeError, grad_check, split_seed, splitmix64
+from jgekd.numerics import Node, Rng, ShapeError, split_seed, splitmix64
 
 
 # --- PCG32 generator ---
@@ -516,7 +517,7 @@ def _run_checks(make, count=100, tol=1e-5, seed=0):
     worst = 0.0
     for _ in range(count):
         f, x = make(rng)
-        worst = max(worst, grad_check(f, x))
+        worst = max(worst, oracles.grad_check(f, x))
     assert worst <= tol, worst
 
 
@@ -669,7 +670,7 @@ def test_grad_reduce_sum():
 
 
 def test_grad_check_sum_of_squares_tight():
-    err = grad_check(lambda t: ng.reduce_sum(ng.mul(t, t)), np.array([1.0, 2.0]))
+    err = oracles.grad_check(lambda t: ng.reduce_sum(ng.mul(t, t)), np.array([1.0, 2.0]))
     assert err <= 1e-7
 
 
@@ -680,4 +681,60 @@ def test_grad_check_constant_function_is_zero():
         lambda t: ng.reduce_sum(ng.leaf(np.array([2.0, 5.0]))),
     )
     for f in constants:
-        assert grad_check(f, np.array([1.0, -3.0])) == 0.0
+        assert oracles.grad_check(f, np.array([1.0, -3.0])) == 0.0
+
+
+# --- OpenBLAS thread count ---
+
+
+def _fake_openblas(monkeypatch, threads, symbols=("set_num_threads", "get_num_threads")):
+    """A stand-in library at `threads` threads that records each set call."""
+    state = {"threads": threads, "sets": []}
+
+    def set_num_threads(n):
+        state["sets"].append(n)
+        state["threads"] = n
+
+    functions = {"set_num_threads": set_num_threads, "get_num_threads": lambda: state["threads"]}
+    lib = types.SimpleNamespace(
+        **{"scipy_openblas_%s64_" % name: functions[name] for name in symbols}
+    )
+    monkeypatch.setattr(ng, "_openblas", lambda: lib)
+    return state
+
+
+def test_blas_threads_restores_the_previous_count(monkeypatch):
+    state = _fake_openblas(monkeypatch, 3)
+    with ng.blas_threads(1) as pinned:
+        assert pinned is True
+        assert state["threads"] == 1
+    assert state["threads"] == 3
+    with pytest.raises(ZeroDivisionError):
+        with ng.blas_threads(1):
+            assert state["threads"] == 1
+            1 / 0
+    assert state["threads"] == 3
+    assert state["sets"] == [1, 3, 1, 3]
+
+
+@pytest.mark.parametrize("symbols", [(), ("get_num_threads",), ("set_num_threads",)], ids=["none", "no_setter", "no_getter"])
+def test_blas_threads_does_nothing_without_the_symbols(monkeypatch, symbols):
+    state = _fake_openblas(monkeypatch, 3, symbols)
+    with ng.blas_threads(1) as pinned:
+        assert pinned is False
+    assert state["sets"] == [] and state["threads"] == 3
+    monkeypatch.setattr(ng, "_openblas", lambda: None)  # numpy without OpenBLAS
+    with ng.blas_threads(1) as pinned:
+        assert pinned is False
+    assert ng.openblas_info() == {"core": "unknown", "threads": "unknown", "config": "unknown"}
+
+
+def test_blas_threads_sets_numpys_own_openblas():
+    before = ng.openblas_info()["threads"]
+    with ng.blas_threads(1) as pinned:
+        inside = ng.openblas_info()["threads"]
+    assert inside == ("1" if pinned else before)
+    assert ng.openblas_info()["threads"] == before
+    with pytest.raises(ValueError, match="threads must be an integer"):
+        with ng.blas_threads(0):
+            pass

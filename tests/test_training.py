@@ -1,12 +1,16 @@
 import json
 import math
+import os
 import re
+import time
 
 import numpy as np
 import pytest
 
-from jgekd.corruptions import ALL_EVAL_KINDS, BACKGROUND_EXCLUDED_KINDS, K
+from jgekd import numerics, training
+from jgekd.corruptions import ALL_EVAL_KINDS, BACKGROUND_EXCLUDED_KINDS, SEVERITIES, K
 from jgekd.model import PARAM_KEYS, init_params, load_params, save_params
+from jgekd.numerics import blas_threads
 from jgekd.pointcloud import LabeledCloud, generate_split
 from jgekd.training import (
     AdamState,
@@ -342,6 +346,140 @@ def test_robustness_eval_rejects_an_empty_sweep(sweep, monkeypatch):
     with pytest.raises(ValueError, match="at least one kind and one severity"):
         robustness_eval(params, params, test_samples, seed=0, **sweep)
     assert drawn == []
+
+
+# --- the robustness sweep split between two processes ---
+
+
+@pytest.fixture
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_USABLE_CPUS = training._usable_cpus
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the sweep's forks, and lets it split on a 1-CPU host too."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(True)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    return calls
+
+
+SWEEPS = {
+    1: ([K.ROTATION], (3,)),
+    2: ([K.FFD], (1, 2)),
+    3: ([K.GAUSSIAN, K.SHEAR, K.DENSITY_DEC], (2,)),
+    5: ([K.CUTOUT], SEVERITIES),
+    60: (BACKGROUND_EXCLUDED_KINDS, SEVERITIES),
+}
+
+
+def _sweep_bytes(n_cells):
+    kinds, severities = SWEEPS[n_cells]
+    _, test_samples = _splits(per_class_test=1, n_points=16)
+    table = robustness_eval(init_params(0, 8), init_params(1, 8), test_samples, seed=3, kinds=kinds, severities=severities)
+    return robustness_json(table), robustness_csv(table), repr(table.oa_model), repr(table.oa_ref)
+
+
+@pytest.mark.parametrize("n_cells", sorted(SWEEPS))
+def test_robustness_split_matches_the_serial_sweep(n_cells, forks, monkeypatch, no_child_left):
+    split = _sweep_bytes(n_cells)
+    # The split needs OpenBLAS's thread setter and more than one cell.
+    with blas_threads(1) as pinned:
+        pass
+    assert len(forks) == (1 if pinned and n_cells > 1 else 0)
+    monkeypatch.delattr(os, "fork")
+    assert _sweep_bytes(n_cells) == split
+
+
+@pytest.mark.parametrize("fallback", ["no_fork", "one_cpu", "no_thread_setter"])
+def test_robustness_sweep_falls_back_to_one_process(fallback, forks, monkeypatch, no_child_left):
+    serial = _sweep_bytes(3)
+    del forks[:]
+    if fallback == "no_fork":
+        monkeypatch.delattr(os, "fork")
+    elif fallback == "one_cpu":
+        monkeypatch.setattr(training, "_usable_cpus", _USABLE_CPUS)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.setattr(numerics, "_openblas_fn", lambda *args: None)
+    assert _sweep_bytes(3) == serial
+    assert forks == []
+
+
+def _failing_corrupt_samples(monkeypatch, cell, exc, sleepy=None):
+    real = training.corrupt_samples
+
+    def corrupt(base, kind, severity, seed):
+        if (kind, severity) == cell:
+            raise exc
+        if (kind, severity) == sleepy:
+            time.sleep(60)
+        return real(base, kind, severity, seed)
+
+    monkeypatch.setattr(training, "corrupt_samples", corrupt)
+
+
+def _run_five_cells():
+    # Cells run interleaved: severities 1, 3 and 5 in the parent, 2 and 4 in
+    # the child.
+    _, test_samples = _splits(per_class_test=1, n_points=12)
+    params = init_params(0, 8)
+    return robustness_eval(params, params, test_samples, seed=0, kinds=[K.SHEAR], severities=SEVERITIES)
+
+
+def test_robustness_child_error_reraises_in_the_parent(forks, monkeypatch, no_child_left):
+    _failing_corrupt_samples(monkeypatch, (K.SHEAR, 2), ZeroDivisionError("cell 2 broke"))
+    with pytest.raises(ZeroDivisionError) as info:
+        _run_five_cells()
+    assert str(info.value) == "cell 2 broke"
+
+
+def test_robustness_parent_error_kills_the_child(forks, monkeypatch, no_child_left):
+    # The child would sleep for a minute in its first cell; the parent's
+    # error must not wait for it.
+    _failing_corrupt_samples(monkeypatch, (K.SHEAR, 1), ZeroDivisionError("cell 1 broke"), sleepy=(K.SHEAR, 2))
+    start = time.perf_counter()
+    with pytest.raises(ZeroDivisionError) as info:
+        _run_five_cells()
+    assert str(info.value) == "cell 1 broke"
+    assert time.perf_counter() - start < 30.0
+
+
+class TwoArgError(Exception):
+    """Pickles, but unpickling calls it with one argument and fails."""
+
+    def __init__(self, a, b):
+        super().__init__("%s, %s" % (a, b))
+
+
+@pytest.mark.parametrize("unpicklable", ["local_class", "two_args"])
+def test_robustness_child_error_that_cannot_be_pickled(unpicklable, forks, monkeypatch, no_child_left):
+    class LocalError(Exception):
+        pass  # a local class: pickle cannot find it by name
+
+    exc = LocalError("no way back") if unpicklable == "local_class" else TwoArgError("no way", "back")
+    _failing_corrupt_samples(monkeypatch, (K.SHEAR, 2), exc)
+    with blas_threads(1) as pinned:
+        pass
+    if pinned:
+        expected = RuntimeError, "%s in the sweep's child process: %s" % (type(exc).__name__, exc)
+    else:
+        expected = type(exc), str(exc)
+    with pytest.raises(expected[0]) as info:
+        _run_five_cells()
+    assert str(info.value) == expected[1]
 
 
 # --- statistics ---
