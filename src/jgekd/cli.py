@@ -85,6 +85,9 @@ _HINTS = typing.get_type_hints(TrainConfig)
 _CONFIG_FIELDS = {f.name: _field_type(_HINTS[f.name]) for f in dataclasses.fields(TrainConfig)}
 
 
+_EXPECTS = {bool: "a boolean", int: "an integer", float: "a number"}
+
+
 def _parse_config_value(key: str, raw: str):
     kind = _CONFIG_FIELDS[key]
     raw = raw.strip()
@@ -94,12 +97,14 @@ def _parse_config_value(key: str, raw: str):
             return True
         if lowered in ("false", "0", "no", "off"):
             return False
-        raise ValueError("config key %s expects a boolean, got %r" % (key, raw))
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    return raw
+    elif kind in (int, float):
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    else:
+        return raw
+    raise ValueError("config key %s expects %s, got %r" % (key, _EXPECTS[kind], raw))
 
 
 def load_config_file(path) -> dict:
@@ -116,7 +121,10 @@ def load_config_file(path) -> dict:
             key = key.strip()
             if key not in _CONFIG_FIELDS:
                 raise ValueError("%s:%d: unknown config key %r" % (path, ln, key))
-            values[key] = _parse_config_value(key, raw)
+            try:
+                values[key] = _parse_config_value(key, raw)
+            except ValueError as exc:
+                raise ValueError("%s:%d: %s" % (path, ln, exc)) from None
     return values
 
 
@@ -286,9 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path) -> None:
+    """Refuse an output path that exists and is not a directory, before any
+    data is loaded or any work is done."""
+    if path is not None and os.path.exists(path) and not os.path.isdir(path):
+        raise NotADirectoryError("--out %s exists and is not a directory" % path)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except (OSError, CloudFormatError, CheckpointFormatError) as exc:
         # Before ValueError: the format errors subclass it.

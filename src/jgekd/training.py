@@ -13,6 +13,8 @@ independent of iteration order and reruns are bit-identical.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import os
@@ -162,14 +164,15 @@ def _stack(clouds) -> tuple[ng.Node, list[int]]:
     return ng.leaf(np.concatenate(clouds)), offsets
 
 
-def _batch_grads(params, samples, batch, epoch, config, n_classes, teacher_probs):
+def _batch_grads(params, samples, batch, epoch, config, n_classes, teacher_probs, twins):
     """Per-sample losses and summed parameter gradients of one minibatch.
 
-    One graph covers the batch: each parameter leaf is broadcast to one
-    gradient row per sample, the losses come out as one row per sample and
-    backward runs once. The rows and their sum are what a loop of
-    per-sample graphs would give, bit for bit. Returning drops the graph,
-    so it is gone before the next batch builds its own.
+    twins are the batch's corrupted clouds (_twins), None without
+    augmentation. One graph covers the batch: each parameter leaf is
+    broadcast to one gradient row per sample, the losses come out as one row
+    per sample and backward runs once. The rows and their sum are what a
+    loop of per-sample graphs would give, bit for bit. Returning drops the
+    graph, so it is gone before the next batch builds its own.
     """
     clean = [samples[i].points for i in batch]
     q = np.stack([_one_hot(samples[i].label, n_classes) for i in batch])
@@ -183,11 +186,7 @@ def _batch_grads(params, samples, batch, epoch, config, n_classes, teacher_probs
         loss = losses.total_loss(ce_clean, ng.leaf(np.zeros(len(batch))), config.alpha, config.beta)
     else:
         if config.augment:
-            corrupted = [
-                compose_random(points, Rng(split_seed(config.seed, epoch, i)))[0]
-                for points, i in zip(clean, batch)
-            ]
-            prime_points, prime_offsets = _stack(corrupted)
+            prime_points, prime_offsets = _stack(twins)
         else:
             # the siamese twin degenerates to the clean cloud
             prime_points, prime_offsets = clean_points, offsets
@@ -214,6 +213,49 @@ def _batch_grads(params, samples, batch, epoch, config, n_classes, teacher_probs
             )
     ng.backward(ng.reduce_sum(loss))
     return values, {key: leaf.adjoint for key, leaf in leaves.items()}
+
+
+def _schedule(n: int, config: TrainConfig):
+    """(epoch, batch) of every optimizer step of a run, in order."""
+    for epoch in range(config.epochs):
+        order = Rng(split_seed(config.seed, epoch, _SHUFFLE_SLOT)).permutation(n)
+        for start in range(0, n, BATCH_SIZE):
+            yield epoch, order[start : start + BATCH_SIZE]
+
+
+def _twins(samples, epoch, batch, seed) -> list[np.ndarray]:
+    """The corrupted twin of each sample of a batch. A twin depends only on
+    the clean cloud, the seed, the epoch and the sample index, so where it
+    is built changes no bit."""
+    return [compose_random(samples[i].points, Rng(split_seed(seed, epoch, i)))[0] for i in batch]
+
+
+@contextlib.contextmanager
+def _steps(samples, config: TrainConfig):
+    """Yields an iterator over (epoch, batch, twins) for every optimizer
+    step of a run; twins is None without augmentation.
+
+    Where the host has fork and a second CPU and the run has more than one
+    batch, a forked child builds the twins of every batch after the first
+    and streams them in step order while the parent trains; the parent
+    builds the first batch's twins itself as the child starts up.
+    """
+    schedule = _schedule(len(samples), config)
+    n_steps = config.epochs * -(-len(samples) // BATCH_SIZE)
+    if not config.augment:
+        yield ((epoch, batch, None) for epoch, batch in schedule)
+    elif n_steps < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
+        yield ((epoch, batch, _twins(samples, epoch, batch, config.seed)) for epoch, batch in schedule)
+    else:
+
+        def produce():
+            later = itertools.islice(_schedule(len(samples), config), 1, None)
+            return (_twins(samples, epoch, batch, config.seed) for epoch, batch in later)
+
+        with _forked(produce, "training's", "twins") as theirs:
+            epoch, batch = next(schedule)
+            first = (epoch, batch, _twins(samples, epoch, batch, config.seed))
+            yield itertools.chain([first], ((epoch, batch, next(theirs)) for epoch, batch in schedule))
 
 
 def train(config: TrainConfig, train_samples, test_samples) -> tuple[ModelParams, MetricsReport]:
@@ -248,24 +290,19 @@ def train(config: TrainConfig, train_samples, test_samples) -> tuple[ModelParams
 
     params = init_params(split_seed(config.seed, _INIT_SLOT, 0), n_classes)
     adam = AdamState(params)
-    history = []
+    epoch_losses = [0.0] * config.epochs
 
-    n = len(samples)
-    for epoch in range(config.epochs):
-        order = Rng(split_seed(config.seed, epoch, _SHUFFLE_SLOT)).permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, BATCH_SIZE):
-            batch = order[start : start + BATCH_SIZE]
-            values, grads = _batch_grads(params, samples, batch, epoch, config, n_classes, teacher_probs)
+    with _steps(samples, config) as steps:
+        for epoch, batch, twins in steps:
+            values, grads = _batch_grads(params, samples, batch, epoch, config, n_classes, teacher_probs, twins)
             for value in values:
-                epoch_loss += value
+                epoch_losses[epoch] += value
             for key in PARAM_KEYS:
                 grads[key] /= len(batch)
             adam.step(params, grads, config.learning_rate)
-        history.append(epoch_loss / n)
 
     report = evaluate(params, test_samples)
-    report.loss_history = history
+    report.loss_history = [loss / len(samples) for loss in epoch_losses]
     return params, report
 
 
@@ -387,59 +424,111 @@ def _split_cells(run_cell, cells) -> list:
 
     The parent runs cells[0::2] meanwhile. Interleaving balances the two,
     since one kind's corruption can cost 40 times another's. Each cell is a
-    pure function of its inputs, so where it runs changes no bit. The child
-    pickles its results (or its exception) through a pipe and leaves by
-    os._exit, so it runs none of the parent's exit handlers. The parent
-    reaps the child on every path and kills it first when its own cells
-    raise.
+    pure function of its inputs, so where it runs changes no bit.
     """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(_child_payload(run_cell, cells[1::2]))
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            mine = [run_cell(cell) for cell in cells[0::2]]
-            payload = pipe.read()
-    except BaseException:
-        import signal  # not loaded at start-up, and only this path needs it
 
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if not payload:
-        raise RuntimeError("the sweep's child process ended (wait status %d) without sending its cells" % status)
-    ok, theirs = pickle.loads(payload)
-    if not ok:
-        if isinstance(theirs, BaseException):
-            raise theirs
-        raise RuntimeError("%s in the sweep's child process: %s" % theirs)
+    def produce():
+        yield [run_cell(cell) for cell in cells[1::2]]
+
+    with _forked(produce, "the sweep's", "cells") as messages:
+        mine = [run_cell(cell) for cell in cells[0::2]]
+        theirs = next(messages)
     results = [None] * len(cells)
     results[0::2] = mine
     results[1::2] = theirs
     return results
 
 
-def _child_payload(run_cell, cells) -> bytes:
-    """The pickled (True, results) of the child's cells, or (False, error):
-    the exception itself where it survives a pickle round trip, else its
-    type name and message."""
+@contextlib.contextmanager
+def _forked(produce, role: str, what: str):
+    """Run produce() in one forked child; yields an iterator over the
+    messages it yields, in order.
+
+    The child pickles each message into a pipe as soon as it is made, and
+    the pipe's buffer is the only queue: a child that is ahead waits. It
+    leaves by os._exit, so it runs none of the parent's exit handlers. An
+    exception in the child re-raises in the parent, when the parent reads
+    that far, with its type and message; one that does not survive a pickle
+    round trip comes back as a RuntimeError naming both. The parent reaps
+    the child on every path and kills it first when the body raises.
+
+    Where the CPU mask holds two or more CPUs, the child runs on the last
+    one and the parent on the others until the child is reaped; then the
+    parent's mask is restored, also on error. Unpinned, this host does not
+    always run the pair at once.
+    """
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    cpus = sorted(mask)
+    pinned = len(cpus) > 1
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                _send(pipe, produce, cpus[-1:] if pinned else None)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    status = []
+
+    def reap() -> int:
+        if not status:
+            status.append(os.waitpid(pid, 0)[1])
+        return status[0]
+
+    def receive(pipe):
+        while True:
+            try:
+                ok, message = pickle.load(pipe)
+            except EOFError:
+                raise RuntimeError(
+                    "%s child process ended (wait status %d) without sending its %s" % (role, reap(), what)
+                ) from None
+            if not ok:
+                if isinstance(message, BaseException):
+                    raise message
+                raise RuntimeError("%s in %s child process: %s" % (message[0], role, message[1]))
+            yield message
+
+    pipe = os.fdopen(read_fd, "rb")
     try:
-        return pickle.dumps((True, [run_cell(cell) for cell in cells]))
+        if pinned:
+            os.sched_setaffinity(0, cpus[:-1])
+        yield receive(pipe)
+    except BaseException:
+        if not status:
+            import signal  # not loaded at start-up, and only this path needs it
+
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        try:
+            pipe.close()
+            reap()
+        finally:
+            if pinned:
+                os.sched_setaffinity(0, mask)
+
+
+def _send(pipe, produce, cpus) -> None:
+    """The child's side of _forked: pin to cpus (unless None), then write
+    (True, message) for each message of produce(), flushed one by one, and
+    (False, error) if it raises: the exception itself where it survives a
+    pickle round trip, else its type name and message."""
+    try:
+        if cpus is not None:
+            os.sched_setaffinity(0, cpus)
+        for message in produce():
+            pipe.write(pickle.dumps((True, message)))
+            pipe.flush()
     except Exception as exc:
         try:
             payload = pickle.dumps((False, exc))
             pickle.loads(payload)
-            return payload
         except Exception:
-            return pickle.dumps((False, (type(exc).__name__, str(exc))))
+            payload = pickle.dumps((False, (type(exc).__name__, str(exc))))
+        pipe.write(payload)
 
 
 def welch_t(a, b) -> float:

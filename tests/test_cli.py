@@ -8,6 +8,7 @@ exercised implicitly (same code path, larger loop bounds).
 import filecmp
 import json
 import os
+import re
 
 import pytest
 
@@ -366,10 +367,17 @@ def test_config_file_parse_errors(tmp_path):
     bad_line.write_text("epochs\n")
     with pytest.raises(ValueError, match="key=value"):
         load_config_file(bad_line)
-    bad_bool = tmp_path / "b.cfg"
-    bad_bool.write_text("augment = maybe\n")
-    with pytest.raises(ValueError, match="boolean"):
-        load_config_file(bad_bool)
+    for name, text, message in (
+        ("b.cfg", "augment = maybe\n", "config key augment expects a boolean, got 'maybe'"),
+        ("c.cfg", "strategy=skd\nepochs=abc\n", "config key epochs expects an integer, got 'abc'"),
+        ("d.cfg", "# seed\n\nseed = 1.5\n", "config key seed expects an integer, got '1.5'"),
+        ("e.cfg", "learning_rate=fast\n", "config key learning_rate expects a number, got 'fast'"),
+    ):
+        bad = tmp_path / name
+        bad.write_text(text)
+        line = text.count("\n")
+        with pytest.raises(ValueError, match="^%s$" % re.escape("%s:%d: %s" % (bad, line, message))):
+            load_config_file(bad)
 
 
 # --- eval ---
@@ -438,6 +446,31 @@ def test_eval_rejects_a_model_with_another_class_count(overfit_run, dataset, tmp
         if code != EXIT_VALIDATION or "%s has %d classes, %s lists 8" % (role, n_classes, data) not in err or out.exists():
             failed.append((row, code, err.strip(), out.exists()))
     assert not failed, "\n".join(map(repr, failed))
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "robustness", "correlation"])
+def test_out_that_is_a_file_is_refused_before_the_work(command, overfit_run, dataset, tmp_path, capsys, monkeypatch):
+    # An --out that exists as a file exits 3 naming it, before any data or
+    # model is loaded: the work itself must never be reached.
+    def never(*args, **kwargs):
+        raise AssertionError("%s did its work before refusing --out" % command)
+
+    for name in ("train", "evaluate", "robustness_eval", "class_correlation"):
+        monkeypatch.setattr("jgekd.training.%s" % name, never)
+    model = os.path.join(overfit_run, "model.jgp")
+    argv = {
+        "train": ["train", "--epochs", "1", "--train-data", dataset["train"], "--test-data", dataset["test"]],
+        "eval": ["eval", "--model", model, "--data", dataset["test"]],
+        "robustness": ["robustness", "--model", model, "--ref", model, "--data", dataset["test"]],
+        "correlation": ["correlation", "--model", model, "--data", dataset["train"]],
+    }[command]
+    out = tmp_path / "f"
+    out.write_bytes(b"keep")
+    code = main(argv + ["--out", str(out)])
+    assert code == EXIT_IO
+    assert "--out %s exists and is not a directory" % out in capsys.readouterr().err
+    assert out.read_bytes() == b"keep"
+    assert os.listdir(tmp_path) == ["f"]
 
 
 def test_eval_overfit_train_at_least_test(overfit_run, dataset, tmp_path):

@@ -363,7 +363,7 @@ _USABLE_CPUS = training._usable_cpus
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Counts the sweep's forks, and lets it split on a 1-CPU host too."""
+    """Counts forks, and lets the two-process paths run on a 1-CPU host too."""
     calls = []
     real_fork = os.fork
 
@@ -480,6 +480,102 @@ def test_robustness_child_error_that_cannot_be_pickled(unpicklable, forks, monke
     with pytest.raises(expected[0]) as info:
         _run_five_cells()
     assert str(info.value) == expected[1]
+
+
+# --- training's twins streamed from a forked child ---
+
+
+def _train_bytes(tmp_path, strategy, epochs, per_class_train=3, augment=True):
+    """Checkpoint, metrics.json and history.csv bytes of one run. Three
+    clouds per class make 24 samples: two batches per epoch."""
+    train_samples, test_samples = _splits(per_class_train=per_class_train)
+    teacher = None
+    if strategy == "tkd":
+        teacher = str(tmp_path / "teacher.jgp")
+        save_params(teacher, init_params(7, 8))
+    config = TrainConfig(strategy=strategy, epochs=epochs, seed=4, augment=augment, teacher_checkpoint=teacher)
+    params, report = train(config, train_samples, test_samples)
+    path = tmp_path / "model.jgp"
+    save_params(path, params)
+    return path.read_bytes(), metrics_json(report, config.to_dict()), training.history_csv(report, config.to_dict())
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("strategy", ["st", "skd", "tkd"])
+def test_train_stream_matches_the_serial_run(strategy, epochs, tmp_path, forks, monkeypatch, no_child_left):
+    streamed = _train_bytes(tmp_path, strategy, epochs)
+    assert len(forks) == 1
+    monkeypatch.delattr(os, "fork")
+    assert _train_bytes(tmp_path, strategy, epochs) == streamed
+
+
+@pytest.mark.parametrize("run", ["one_batch", "no_augment", "one_cpu"])
+def test_train_stays_in_one_process(run, tmp_path, forks, monkeypatch, no_child_left):
+    if run == "one_cpu":
+        monkeypatch.setattr(training, "_usable_cpus", _USABLE_CPUS)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    per_class_train = 2 if run == "one_batch" else 3  # 16 samples: one batch
+    _train_bytes(tmp_path, "skd", 1, per_class_train=per_class_train, augment=run != "no_augment")
+    assert forks == []
+
+
+@pytest.mark.parametrize("mask, pins", [({3}, []), ({0, 2, 5}, [[0, 2], {0, 2, 5}])], ids=["one_cpu", "three_cpus"])
+def test_fork_pins_the_parent_only_with_two_cpus(mask, pins, tmp_path, forks, monkeypatch, no_child_left):
+    # The forks fixture lets a 1-CPU host fork: the parent must then keep its
+    # mask rather than take an empty one. With more CPUs the parent gets all
+    # but the last and its own mask back afterwards.
+    calls = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(cpus))
+    _train_bytes(tmp_path, "skd", 1)
+    assert len(forks) == 1
+    assert calls == pins
+
+
+def _in_the_child(monkeypatch, action):
+    """Wrap compose_random so that the forked child runs action(calls) first,
+    with calls the number of twins the child has built before this one."""
+    parent = os.getpid()
+    real = training.compose_random
+    calls = []
+
+    def compose(points, rng):
+        if os.getpid() != parent:
+            action(len(calls))
+            calls.append(True)
+        return real(points, rng)
+
+    monkeypatch.setattr(training, "compose_random", compose)
+
+
+def test_train_child_error_reraises_in_the_parent(forks, monkeypatch, no_child_left):
+    def fail(calls):
+        raise ZeroDivisionError("twin broke")
+
+    _in_the_child(monkeypatch, fail)
+    train_samples, test_samples = _splits(per_class_train=3)
+    with pytest.raises(ZeroDivisionError) as info:
+        train(TrainConfig(strategy="skd", epochs=2, seed=0), train_samples, test_samples)
+    assert str(info.value) == "twin broke"
+    assert len(forks) == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_train_parent_error_kills_the_child(forks, monkeypatch, no_child_left):
+    # 40 samples make batches of 16, 16 and 8. The child builds the second
+    # batch, then would sleep for a minute on the third; the parent's
+    # NumericalError in the second batch must not wait for it.
+    def stall(calls):
+        if calls == 16:
+            time.sleep(60)
+
+    _in_the_child(monkeypatch, stall)
+    train_samples, test_samples = _splits(per_class_train=5)
+    start = time.perf_counter()
+    with pytest.raises(NumericalError, match="^non-finite loss nan at epoch 0, sample 9 \\(st\\)$"):
+        train(TrainConfig(strategy="st", epochs=2, seed=0, learning_rate=1e300), train_samples, test_samples)
+    assert time.perf_counter() - start < 30.0
+    assert len(forks) == 1
 
 
 # --- statistics ---
