@@ -26,7 +26,7 @@ import numpy as np
 from jgekd import training
 from jgekd.cli import EXIT_OK, main
 from jgekd.corruptions import ALL_EVAL_KINDS, MIN_SURVIVORS, apply_corruption, compose_random
-from jgekd.model import load_params, save_params
+from jgekd.model import ModelParams, forward, init_params, load_params, save_params
 from jgekd.numerics import Rng, split_seed
 from jgekd.pointcloud import NUM_CLASSES, generate_minishapes, generate_shape, load_dataset, normalize_unit_sphere
 
@@ -43,6 +43,8 @@ GOLDEN = {
     "robustness": "e8aadee109862e8fbc16e3e5837f40b87bc8b034c3257e4470746ba9309e5141",
     "corruptions": "34923571997ae3ab7637837975412782cad3665996bbb2aba2ee0a1e440674b9",
     "corruptions_1024": "b331454abea3410f1f0416430eb435b64ca2f50fa8ae5a48e073c45341baaf6b",
+    "corruptions_1024_geometry": "a5c7c53618839742ffc7ecdcf1b3b039ec390d95aebf1149b399fce11ca724ce",
+    "forward_1024": "c3eded2a3e18b27a37b981bf01f7fb8bd6aef3af122dae38a127d5fcd69db9d0",
     "training_paths": "ab79b8f1369bde0268cea851019716558ef666025a78a0916e042631fc2c34f2",
     "shapes_8": "0a5bc21d4e0da1dbf34678a505b684a6d64f975006a75761c8d524339b1a6584",
     "shapes_64": "137b8852f424c100a8ab8d4be525be20abd97ddc1fbd62793be366df86b530c3",
@@ -86,6 +88,20 @@ COMPOSE_DRAWS = 16
 # block of the bulk generator, which the clouds above never reach.
 LARGE_CLOUD = (2, 1024, 8)
 LARGE_CLOUD_KINDS = ("gaussian", "uniform", "upsampling", "impulse", "density_inc", "density_dec")
+
+# The kinds whose per-point geometry runs over coordinate rows: the FFD
+# lattice, the two RBF fields and cutout's anchor distances, on the cloud
+# above and on that cloud flattened to z = 0, whose zero z extent takes
+# ffd's fallback of t = 0.5.
+LARGE_CLOUD_GEOMETRY_KINDS = ("ffd", "rbf", "inv_rbf", "cutout")
+
+# The classifier at the robustness sweep's cloud size, where the pool takes
+# its column maxima in blocks of rows: 1024-point clouds of every class, and
+# ragged clouds of 257 to 3000 rows, none a multiple of 32, so the rows left
+# over after the blocks are folded in too. Parameters: two initial sets, and
+# the first with a b2 that holds -0.0 and columns whose maxima are +-0 ties.
+FORWARD_SIZES = (1024, 257, 300, 1031, 2047, 3000)
+FORWARD_PARAM_SEEDS = (6, 11)
 
 
 # Training paths the CLI runs above never take: 20 samples (a full batch of
@@ -244,6 +260,40 @@ def test_large_cloud_corruption_outputs_hash():
             digest.update(("%s %d" % (name, severity)).encode())
             _update_cloud(digest, apply_corruption(points, name, severity, rng))
     assert digest.hexdigest() == GOLDEN["corruptions_1024"]
+
+
+def test_large_cloud_geometry_outputs_hash():
+    class_id, n_points, seed = LARGE_CLOUD
+    points = generate_shape(class_id, n_points, seed).points
+    digest = hashlib.sha256()
+    for flat, cloud in enumerate((points, points * np.array([1.0, 1.0, 0.0]))):
+        for name in LARGE_CLOUD_GEOMETRY_KINDS:
+            for severity in range(1, 6):
+                rng = Rng(split_seed(seed, len(ALL_EVAL_KINDS) + 2 + flat, severity))
+                digest.update(("%d %s %d" % (flat, name, severity)).encode())
+                _update_cloud(digest, apply_corruption(cloud, name, severity, rng))
+    assert digest.hexdigest() == GOLDEN["corruptions_1024_geometry"]
+
+
+def _forward_params():
+    params = [init_params(seed, NUM_CLASSES) for seed in FORWARD_PARAM_SEEDS]
+    w2, b2 = params[0].w2.copy(), params[0].b2.copy()
+    w2[:, 0::8] = -0.0  # every product in these columns is a zero of either sign
+    b2[0::2] = -0.0
+    return params + [ModelParams(**dict(params[0].blocks(), w2=w2, b2=b2))]
+
+
+def test_forward_outputs_hash():
+    clouds = [generate_shape(class_id, 1024, 9).points for class_id in range(NUM_CLASSES)]
+    clouds += [generate_shape(i % NUM_CLASSES, n, 10 + i).points for i, n in enumerate(FORWARD_SIZES[1:])]
+    assert all(len(c) % 32 for c in clouds[NUM_CLASSES:])
+    digest = hashlib.sha256()
+    for params in _forward_params():
+        for cloud in clouds:
+            out = forward(params, cloud)
+            for value in (out.logits, out.probs, out.embedding):
+                _update_cloud(digest, value)
+    assert digest.hexdigest() == GOLDEN["forward_1024"]
 
 
 def _paths_samples():
