@@ -151,31 +151,53 @@ def _shear(pts, s, rng):
     return pts @ m.T
 
 
-def _bernstein_weights(t):
-    # Degree-2 Bernstein basis evaluated per point, (P,) -> (P, 3).
-    return np.stack([(1.0 - t) ** 2, 2.0 * t * (1.0 - t), t ** 2], axis=1)
+# The per-point geometry below runs on (3, P) coordinate rows, because
+# numpy's loops over a length-3 last axis use SIMD poorly. Each form gives
+# the same bits as its (P, 3) form in tests/oracles.py.
 
 
 def _ffd(pts, s, rng):
     # 3x3x3 control lattice over the bounding box; lattice offsets are drawn
     # first (fixed draw count), then scaled, so a fixed stream gives a
     # displacement field linear in severity.
-    offsets = rng.normals(81).reshape(3, 3, 3, 3) * (0.04 * s)
-    lo = pts.min(axis=0)
-    extent = pts.max(axis=0) - lo
+    offsets = rng.normals(81).reshape(27, 3) * (0.04 * s)
+    rows = np.ascontiguousarray(pts.T)
+    lo = rows.min(axis=1)[:, None]
+    extent = rows.max(axis=1)[:, None] - lo
     safe = np.where(extent > 1e-12, extent, 1.0)
-    t = np.where(extent > 1e-12, (pts - lo) / safe, 0.5)
-    bx = _bernstein_weights(t[:, 0])
-    by = _bernstein_weights(t[:, 1])
-    bz = _bernstein_weights(t[:, 2])
-    disp = np.einsum("pi,pj,pk,ijkc->pc", bx, by, bz, offsets, optimize=False)
-    return pts + disp
+    t = np.where(extent > 1e-12, (rows - lo) / safe, 0.5)
+    # Degree-2 Bernstein weights: b[axis, i] is a (P,) row.
+    bx, by, bz = np.stack([(1.0 - t) ** 2, 2.0 * t * (1.0 - t), t ** 2], axis=1)
+    # The 27 lattice weights ((bx_i * by_j) * bz_k) in ijk order, (27, P).
+    weights = ((bx[:, None] * by)[:, :, None] * bz).reshape(27, -1)
+    # Each term w_ijk * off_ijk is added in ijk order into zeros, as the
+    # einsum over "pi,pj,pk,ijkc->pc" in tests/oracles.py does: its output
+    # starts at zero, so a -0.0 first term gives +0.0.
+    disp = np.zeros_like(rows)
+    for term in offsets[:, :, None] * weights[:, None]:
+        disp += term
+    return pts + disp.T
+
+
+def _sum_sq(d):
+    """Squared lengths of (3, ...) coordinate differences, summed as
+    (dx^2 + dy^2) + dz^2: the order numpy reduces a length-3 last axis in, so
+    the same bits as summing the squares over the last axis of the (..., 3)
+    layout."""
+    d = d * d
+    return (d[0] + d[1]) + d[2]
+
+
+def _anchor_distances(rows, anchor):
+    """Distances from the points of (3, P) coordinate rows to one (3,)
+    anchor: the same bits as np.linalg.norm(pts - anchor, axis=1)."""
+    return np.sqrt(_sum_sq(rows - anchor[:, None]))
 
 
 def _rbf_displacement(pts, s, rng, kernel):
     anchors = np.stack([rng.ball_point() for _ in range(5)])
     amps = rng.normals(15).reshape(5, 3) * (0.05 * s)
-    d2 = np.sum((pts[:, None, :] - anchors[None, :, :]) ** 2, axis=2)
+    d2 = _sum_sq(np.ascontiguousarray(pts.T)[:, :, None] - anchors.T[:, None, :])  # (P, 5)
     return pts + kernel(d2) @ amps
 
 
@@ -230,10 +252,11 @@ def _density_inc(pts, s, rng):
     # within 0.25 of an anchor gains two jittered copies, tripling local
     # density. Membership is measured on the original cloud.
     n = pts.shape[0]
+    rows = np.ascontiguousarray(pts.T)
     added = []
     for _ in range(s):
         anchor = pts[rng.randint(n)]
-        near = np.nonzero(np.linalg.norm(pts - anchor, axis=1) <= 0.25)[0]
+        near = np.nonzero(_anchor_distances(rows, anchor) <= 0.25)[0]
         if near.size == 0:
             continue
         jitter = rng.normals(6 * near.size).reshape(2 * near.size, 3) * 0.005
@@ -250,11 +273,12 @@ def _thin(pts, s, rng, radius, victims):
     # in the order given, stopping once only MIN_SURVIVORS points remain.
     # victims makes all of its draws even when the floor cuts its list.
     n = pts.shape[0]
+    rows = np.ascontiguousarray(pts.T)
     alive = np.ones(n, dtype=bool)
     count = n
     for _ in range(s):
         anchor = pts[rng.randint(n)]
-        near = np.nonzero(alive & (np.linalg.norm(pts - anchor, axis=1) <= radius))[0]
+        near = np.nonzero(alive & (_anchor_distances(rows, anchor) <= radius))[0]
         drop = victims(near, rng)[: max(0, count - MIN_SURVIVORS)]
         alive[drop] = False
         count -= drop.size
@@ -353,6 +377,23 @@ def corruption_tag(kind, severity) -> str:
     return "%s_s%d" % (parse_kind(kind).value, _check_severity(severity))
 
 
+def _copy_names(manifest_path, entries) -> list[str]:
+    """The file name of each entry's corrupted copy. The copies share one
+    directory, so a split with no entries, or with two entries of one file
+    name, raises ValueError."""
+    if not entries:
+        raise ValueError("%s lists no clouds, so there is nothing to corrupt" % manifest_path)
+    first = {}
+    for rel, _ in entries:
+        name = os.path.basename(rel)
+        if name in first:
+            raise ValueError(
+                "%s: entries %s and %s would both be written to %s" % (manifest_path, first[name], rel, name)
+            )
+        first[name] = rel
+    return list(first)
+
+
 def corrupt_eval_set(manifest_path, out_dir, kind, severity, global_seed: int) -> str:
     """Write a corrupted copy of a dataset split under <out_dir>/<kind>_s<sev>/.
 
@@ -362,13 +403,13 @@ def corrupt_eval_set(manifest_path, out_dir, kind, severity, global_seed: int) -
     kind = parse_kind(kind)
     s = _check_severity(severity)
     manifest, samples = load_dataset(manifest_path)
+    names = _copy_names(manifest_path, manifest.entries)
     corrupted = corrupt_samples(samples, kind, s, global_seed)
     tag = corruption_tag(kind, s)
     directory = os.path.join(out_dir, tag)
     os.makedirs(directory, exist_ok=True)
     entries = []
-    for (rel, label), sample in zip(manifest.entries, corrupted):
-        name = os.path.basename(rel)
+    for name, (_, label), sample in zip(names, manifest.entries, corrupted):
         save_cloud(os.path.join(directory, name), sample.points)
         entries.append((name, label))
     return save_manifest(directory, DatasetManifest(list(manifest.class_names), entries, tag))

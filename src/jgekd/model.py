@@ -90,6 +90,32 @@ _POOL_KEYS = ("w1", "b1", "w2", "b2")
 _HEAD_KEYS = ("w3", "b3", "w4", "b4")
 
 
+# From this many rows up, _column_max reduces blocks of _MAX_BLOCK rows. A
+# column max over a tall C-ordered (P, 64) array strides down each column;
+# max over one (P / 32, 32 * 64) reshape reads the rows contiguously, and the
+# last (32, 64) max is small. At 1024 rows this took 17-23 us against
+# 34-42 us. Below 512 rows the rows left over after the blocks cost more than
+# the blocks save (383 rows: 17 us against 14 us), and at training's 64 rows
+# the plain max takes 3.3 us against 5.2 us.
+_BLOCKED_MAX_MIN = 512
+_MAX_BLOCK = 32
+
+
+def _column_max(a):
+    """Column maxima of a (P, H) array. Maxima are exact and a NaN propagates
+    through max and np.maximum alike, so the blocked form returns the plain
+    a.max(axis=0) up to the sign of a +-0 tie, which the embedding's
+    np.maximum(m + b2, 0.0) maps to +0.0 either way."""
+    p, h = a.shape
+    if p < _BLOCKED_MAX_MIN:
+        return a.max(axis=0)
+    q = p - p % _MAX_BLOCK
+    m = a[:q].reshape(-1, _MAX_BLOCK * h).max(axis=0).reshape(_MAX_BLOCK, h).max(axis=0)
+    if q < p:
+        np.maximum(m, a[q:].max(axis=0), out=m)
+    return m
+
+
 def _features(x, w1, b1, w2, b2):
     """The shared MLP and max pool on one cloud's (P, 3) points: the ReLU
     layer h1, the products a = h1 @ w2, and the embedding, the column maxima
@@ -102,7 +128,7 @@ def _features(x, w1, b1, w2, b2):
     h1 += b1
     np.maximum(h1, 0.0, out=h1)
     a = h1 @ w2
-    return h1, a, np.maximum(a.max(axis=0) + b2, 0.0)
+    return h1, a, np.maximum(_column_max(a) + b2, 0.0)
 
 
 def _classify(e, w3, b3, w4, b4):

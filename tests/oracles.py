@@ -4,14 +4,18 @@ Most of it is pure Python over float lists, summed with math.fsum. Nothing
 there is shared with the library's numpy code paths, so agreement between
 the two is meaningful.
 
-The last two sections are different. The MiniShapes samplers draw one
+The last three sections are different. The MiniShapes samplers draw one
 point at a time through next_u32 and the scalar draw loops here, sharing no
 conversion code with the library; pointcloud.surface_points must match them
-bit for bit, clouds and end states. The per-op graph is the one the
-classifier used to be built from (affine, relu, reduce_max as separate
-nodes, one cloud at a time); model.forward_nodes must match it bit for bit,
-values and gradients. forward_stack, last, is no reference: it is the one
-way tests call model.forward_nodes on shared leaves.
+bit for bit, clouds and end states. The per-point geometry is the numpy
+form the corruptions and the pool used to run on (P, 3) and (P, 64) arrays:
+an einsum, reductions over the last axis and np.linalg.norm; the library's
+coordinate rows and blocks of rows must match it bit for bit. The per-op
+graph is the one the classifier used to be built from (affine, relu,
+reduce_max as separate nodes, one cloud at a time); model.forward_nodes
+must match it bit for bit, values and gradients. forward_stack, last, is no
+reference: it is the one way tests call model.forward_nodes on shared
+leaves.
 """
 
 import math
@@ -322,6 +326,54 @@ def surface_points(class_id, n_points, rng):
     for i in range(n_points):
         pts[i] = sampler(rng) + normals(rng, 3, sigma=JITTER_STD)
     return pts
+
+
+# Per-point geometry in the (P, 3) and (P, 64) layouts. ffd, rbf and inv_rbf
+# are whole corruption kinds and draw what the library's kinds draw.
+
+
+def _bernstein_weights(t):
+    # Degree-2 Bernstein basis evaluated per point, (P,) -> (P, 3).
+    return np.stack([(1.0 - t) ** 2, 2.0 * t * (1.0 - t), t ** 2], axis=1)
+
+
+def ffd(pts, s, rng):
+    offsets = rng.normals(81).reshape(3, 3, 3, 3) * (0.04 * s)
+    lo = pts.min(axis=0)
+    extent = pts.max(axis=0) - lo
+    safe = np.where(extent > 1e-12, extent, 1.0)
+    t = np.where(extent > 1e-12, (pts - lo) / safe, 0.5)
+    bx, by, bz = (_bernstein_weights(t[:, c]) for c in range(3))
+    return pts + np.einsum("pi,pj,pk,ijkc->pc", bx, by, bz, offsets, optimize=False)
+
+
+def rbf_sq_distances(pts, anchors):
+    """(P, k) squared distances from the (P, 3) points to (k, 3) anchors."""
+    return np.sum((pts[:, None, :] - anchors[None, :, :]) ** 2, axis=2)
+
+
+def _rbf_displacement(pts, s, rng, kernel):
+    anchors = np.stack([rng.ball_point() for _ in range(5)])
+    amps = rng.normals(15).reshape(5, 3) * (0.05 * s)
+    return pts + kernel(rbf_sq_distances(pts, anchors)) @ amps
+
+
+def rbf(pts, s, rng):
+    return _rbf_displacement(pts, s, rng, lambda d2: np.exp(-d2 / 0.25))
+
+
+def inv_rbf(pts, s, rng):
+    return _rbf_displacement(pts, s, rng, lambda d2: 1.0 / np.sqrt(1.0 + d2 / 0.25))
+
+
+def anchor_distances(pts, anchor):
+    """(P,) distances from the (P, 3) points to one (3,) anchor."""
+    return np.linalg.norm(pts - anchor, axis=1)
+
+
+def column_max(a):
+    """Column maxima of a (P, H) array."""
+    return a.max(axis=0)
 
 
 # Per-op classifier graph: one node per layer, one cloud per call.

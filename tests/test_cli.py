@@ -21,6 +21,7 @@ from jgekd.cli import (
     main,
 )
 from jgekd.model import init_params, save_params
+from jgekd.pointcloud import generate_shape, save_cloud
 
 # 8 classes, 4 train + 2 test clouds each: the smallest tree that still
 # satisfies correlation's 4-per-class floor.
@@ -182,6 +183,37 @@ def test_corrupt_all_enumerates_every_cell(dataset, tmp_path):
     assert "background_s1" in cells and "cutout_s5" in cells
     for cell in cells:
         assert os.path.exists(out / cell / (cell + ".txt"))
+
+
+def _write_split(directory, rels):
+    """A manifest listing copies of one 16-point cloud at the given relative
+    paths, labels 0, 1, ..."""
+    directory.mkdir()
+    (directory / "classes.txt").write_text("a\nb\n")
+    cloud = generate_shape(0, 16, 0).points
+    for rel in rels:
+        (directory / rel).parent.mkdir(parents=True, exist_ok=True)
+        save_cloud(directory / rel, cloud)
+    (directory / "test.txt").write_text("".join("%s\t%d\n" % (rel, i % 2) for i, rel in enumerate(rels)))
+    return str(directory / "test.txt")
+
+
+@pytest.mark.parametrize(
+    "rels, message",
+    [
+        (["a/x.pcb", "b/x.pcb"], "entries a/x.pcb and b/x.pcb would both be written to x.pcb"),
+        (["x.pcb", "y.pcb", "x.pcb"], "entries x.pcb and x.pcb would both be written to x.pcb"),
+        ([], "lists no clouds, so there is nothing to corrupt"),
+    ],
+    ids=["same-basename", "same-entry", "empty"],
+)
+@pytest.mark.parametrize("cells", [["--kind", "rotation"], ["--all"]], ids=["kind", "all"])
+def test_corrupt_refuses_a_split_it_cannot_copy(tmp_path, capsys, rels, message, cells):
+    manifest = _write_split(tmp_path / "data", rels)
+    out = tmp_path / "corr"
+    assert main(["corrupt", "--data", manifest, "--out", str(out)] + cells) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_corrupt_missing_manifest(tmp_path):

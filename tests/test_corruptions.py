@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from jgekd.numerics import Rng
 from jgekd import corruptions as cr
 from jgekd.corruptions import (
@@ -399,3 +400,72 @@ def test_corrupt_eval_set_rejects_identity(tmp_path):
     manifest = _write_test_split(tmp_path)
     with pytest.raises(ValueError):
         corrupt_eval_set(manifest, tmp_path / "x", K.IDENTITY, 1, 0)
+
+
+# --- per-point geometry on coordinate rows, against the (P, 3) forms ---
+
+GEOMETRY_SIZES = (1, 8, 9, 64, 255, 256, 257, 1024, 1031, 3000)
+
+
+def _geometry_clouds(n):
+    """A cloud of n points, and the same cloud flattened onto each axis in
+    turn, which takes ffd's zero-extent fallback on that axis."""
+    points = _cloud(n, max(n, 8))[:n]
+    clouds = [points]
+    for axis in range(3):
+        flat = points.copy()
+        flat[:, axis] = -0.0
+        clouds.append(flat)
+    return clouds
+
+
+@pytest.mark.parametrize("n_points", GEOMETRY_SIZES)
+@pytest.mark.parametrize("kind", ["ffd", "rbf", "inv_rbf"])
+def test_field_kinds_equal_their_point_layout_forms_byte_for_byte(kind, n_points):
+    ours, oracle = cr._APPLY[parse_kind(kind)], getattr(oracles, kind)
+    for c, points in enumerate(_geometry_clouds(n_points)):
+        for severity in range(1, 6):
+            seed = 1000 * n_points + 10 * c + severity
+            got = ours(points, severity, Rng(seed))
+            assert got.tobytes() == oracle(points, severity, Rng(seed)).tobytes(), (c, severity)
+
+
+class _Lattice:
+    """An rng stand-in whose one draw is ffd's 81 lattice offsets."""
+
+    def __init__(self, offsets):
+        self.offsets = offsets
+
+    def normals(self, n):
+        assert n == self.offsets.size
+        return self.offsets.copy()
+
+
+@pytest.mark.parametrize("n_points", GEOMETRY_SIZES)
+def test_ffd_signed_zero_offsets_byte_for_byte(n_points):
+    # Where every term of an axis is -0.0, the sum from zeros is +0.0, and a
+    # -0.0 coordinate moves to +0.0; a sum that started from its first term
+    # would leave -0.0.
+    rng = np.random.default_rng(n_points)
+    lattices = [np.full(81, -0.0), np.zeros(81), rng.normal(size=81)]
+    lattices[2][0::3] = -0.0
+    lattices[2][1:9] = 0.0
+    for points in _geometry_clouds(n_points):
+        for offsets in lattices:
+            got = cr._ffd(points, 3, _Lattice(offsets))
+            assert got.tobytes() == oracles.ffd(points, 3, _Lattice(offsets)).tobytes()
+    got = cr._ffd(_geometry_clouds(n_points)[3], 1, _Lattice(lattices[0]))
+    assert not np.any(np.signbit(got[:, 2]))
+
+
+@pytest.mark.parametrize("n_points", GEOMETRY_SIZES)
+def test_anchor_distances_equal_the_norm_byte_for_byte(n_points):
+    rng = np.random.default_rng(n_points)
+    for points in _geometry_clouds(n_points):
+        rows = np.ascontiguousarray(points.T)
+        anchors = list(points[rng.integers(n_points, size=5)]) + list(rng.normal(size=(5, 3)))
+        for anchor in anchors:
+            got = cr._anchor_distances(rows, anchor)
+            assert got.tobytes() == oracles.anchor_distances(points, anchor).tobytes()
+        d2 = cr._sum_sq(rows[:, :, None] - np.array(anchors).T[:, None, :])
+        assert d2.tobytes() == oracles.rbf_sq_distances(points, np.array(anchors)).tobytes()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from jgekd import model
 from jgekd import numerics as ng
 from jgekd.cli import EXIT_OK, main
 from jgekd.corruptions import apply_corruption
@@ -149,7 +150,7 @@ def _crafted(params):
 
 
 @pytest.mark.parametrize("checkpoint", ["init", "golden_skd", "crafted"])
-@pytest.mark.parametrize("n_points", [1, 8, 64, 1024, "density_dec"])
+@pytest.mark.parametrize("n_points", [1, 8, 9, 64, 255, 256, 257, 1024, 1031, 3000, "density_dec"])
 def test_forward_equals_the_per_op_oracle_byte_for_byte(n_points, checkpoint, request):
     # forward pools the second layer's products before its bias and ReLU;
     # the oracle adds the bias and applies ReLU on every point, then pools.
@@ -169,6 +170,35 @@ def test_forward_equals_the_per_op_oracle_byte_for_byte(n_points, checkpoint, re
             pooled = (np.maximum(cloud @ params.w1 + params.b1, 0.0) @ params.w2).max(axis=0) + params.b2
             assert np.any(pooled <= 0.0) and np.any(pooled > 0.0)
             assert np.any(np.signbit(params.b2) & (params.b2 == 0.0))
+
+
+# Row counts around the blocks of 32 rows and the blocked max's threshold.
+POOL_ROWS = (1, 8, 9, 64, 255, 256, 257, 511, 512, 513, 1024, 1031, 3000)
+
+
+@pytest.mark.parametrize("n_rows", POOL_ROWS)
+def test_column_max_equals_the_plain_max(n_rows):
+    rng = np.random.default_rng(n_rows)
+    a = rng.normal(size=(n_rows, model.HIDDEN2))
+    a[:, 1] = a[0, 1]  # every row ties
+    a[rng.integers(n_rows, size=3), 2] = 5.0  # up to three rows tie at the top
+    a[:, 3] = np.where(rng.random(n_rows) < 0.5, -0.0, 0.0)  # +-0 everywhere
+    a[:, 4] = -np.abs(a[:, 4])
+    a[rng.integers(n_rows, size=2), 4] = [0.0, -0.0]  # the maximum is a +-0 tie
+    a[:, 5] = -0.0
+    a[-1, 6] = 9.0  # in the rows left over after the blocks
+    a[0, 7] = 9.0  # in the first block
+    a[rng.integers(n_rows), 8] = np.nan
+    a[-1, 9] = np.inf
+    got, want = model._column_max(a), oracles.column_max(a)
+    zero = want == 0.0
+    assert zero[3] and zero[4] and zero[5] and np.isnan(want[8])
+    assert got[~zero].tobytes() == want[~zero].tobytes()
+    assert np.all(got[zero] == 0.0)
+    # The embedding maps a +-0 maximum to +0.0 for any b2, -0.0 included.
+    b2 = rng.normal(size=model.HIDDEN2)
+    b2[0::2] = -0.0
+    assert np.maximum(got + b2, 0.0).tobytes() == np.maximum(want + b2, 0.0).tobytes()
 
 
 def test_forward_permutation_invariance_bit_exact():
